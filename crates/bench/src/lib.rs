@@ -10,8 +10,8 @@
 //! | `table5` | Table V — AFLFast / AFLGo / OctoPoCs time-to-verdict (`--full` for the paper's 20-hour virtual budget) |
 //! | `survey` | §II-A PoC-type survey percentages |
 //!
-//! The library half holds the row types (serialisable via the
-//! dependency-free [`json`] module) and plain-text table rendering shared
+//! The library half holds the row types (serialisable via the [`json`]
+//! module, built on `octo-codec`) and plain-text table rendering shared
 //! by the binaries and the Criterion benches.
 #![warn(missing_docs)]
 

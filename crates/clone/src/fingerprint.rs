@@ -21,53 +21,13 @@
 //! (out-degree, reachable-set size, …) computed from `octo-lint`'s call
 //! graph.
 
+use octo_codec::Fnv;
 use octo_ir::{canonicalize_function, Function, Inst, Operand, Program, Terminator};
 
 /// Shingle width: hashes cover `K` consecutive tokens (instructions or
 /// terminators). Streams shorter than `K` contribute one whole-stream
 /// shingle.
 pub const SHINGLE_K: usize = 4;
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x100_0000_01b3;
-
-/// Incremental FNV-1a, the workspace-standard dependency-free hash.
-#[derive(Debug, Clone, Copy)]
-pub struct Fnv(u64);
-
-impl Fnv {
-    /// A fresh hasher at the FNV offset basis.
-    pub fn new() -> Fnv {
-        Fnv(FNV_OFFSET)
-    }
-
-    /// Absorbs one u64 (byte-wise, little-endian).
-    pub fn write_u64(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(FNV_PRIME);
-        }
-    }
-
-    /// Absorbs a byte slice.
-    pub fn write_bytes(&mut self, bytes: &[u8]) {
-        for b in bytes {
-            self.0 ^= u64::from(*b);
-            self.0 = self.0.wrapping_mul(FNV_PRIME);
-        }
-    }
-
-    /// The current digest.
-    pub fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-impl Default for Fnv {
-    fn default() -> Fnv {
-        Fnv::new()
-    }
-}
 
 /// One normalized token: an instruction or terminator stripped to its
 /// shape. Register identity is resolved at hash time (globally for the
@@ -286,7 +246,7 @@ fn hash_window(window: &[Token]) -> u64 {
     let mut local: Vec<u16> = Vec::new();
     let mut h = Fnv::new();
     for tok in window {
-        h.write_bytes(tok.op.as_bytes());
+        h.write(tok.op.as_bytes());
         h.write_u64(0x5eed); // separator
         for r in &tok.regs {
             let id = match local.iter().position(|x| x == r) {
@@ -389,7 +349,7 @@ pub fn fingerprint_function(f: &Function, ctx: ContextFeatures) -> FuncFingerpri
 
     let mut exact = Fnv::new();
     for t in &toks {
-        exact.write_bytes(t.op.as_bytes());
+        exact.write(t.op.as_bytes());
         exact.write_u64(0x5eed);
         for r in &t.regs {
             exact.write_u64(u64::from(*r));

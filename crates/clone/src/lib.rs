@@ -19,7 +19,7 @@ pub mod retrieve;
 
 pub use fingerprint::{
     containment, context_similarity, fingerprint_function, fingerprint_program, ContextFeatures,
-    Fnv, FuncFingerprint, ProgramFingerprints, SHINGLE_K,
+    FuncFingerprint, ProgramFingerprints, SHINGLE_K,
 };
 pub use retrieve::{
     retrieve_from_fingerprints, retrieve_pairs, Candidate, CloneParams, CONTAINMENT_WEIGHT,

@@ -27,6 +27,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use octo_codec::{json_escape, Fnv};
 use octo_faults::{FaultPlan, JobFaults, RetryPolicy};
 use octo_ir::printer::print_program;
 use octo_ir::Program;
@@ -34,7 +35,7 @@ use octo_obs::{Counter, Gauge, Histogram, MetricsRegistry, Span, SpanObserver};
 use octo_poc::PocFile;
 use octo_sched::{
     run_jobs, ArtifactCache, CacheStats, CancelToken, Event, EventClock, EventKind, EventSink,
-    KeyHasher, SchedStats, Watchdog, WatchdogConfig,
+    SchedStats, Watchdog, WatchdogConfig,
 };
 use octo_store::{BlobStore, StoreStats};
 use octo_trace::{FlightRecorder, TraceKind};
@@ -47,9 +48,8 @@ use crate::pipeline::{
 };
 use crate::portfolio::Urgency;
 
-/// One owned batch job (the borrowing [`crate::portfolio::Job`] is for
-/// in-process callers; batch jobs own their programs so they can be
-/// loaded from files or the corpus and shipped across worker threads).
+/// One owned batch job: jobs own their programs so they can be loaded
+/// from files or the corpus and shipped across worker threads.
 #[derive(Debug, Clone)]
 pub struct BatchJob {
     /// Display name (e.g. `"idx10 CVE-2016-10095 tiffsplit->opj_compress"`).
@@ -139,7 +139,7 @@ pub fn prefix_cache_key(
     shared: &[String],
     config: &PipelineConfig,
 ) -> u64 {
-    let mut h = KeyHasher::new();
+    let mut h = Fnv::new();
     h.write_field(print_program(s).as_bytes());
     h.write_field(poc.bytes());
     h.write_u64(shared.len() as u64);
@@ -193,22 +193,6 @@ pub struct BatchReport {
     pub metrics: MetricsRegistry,
     /// Total wall-clock seconds for the batch.
     pub wall_seconds: f64,
-}
-
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 impl BatchReport {
@@ -398,8 +382,8 @@ pub(crate) fn prep_artifact_bytes(artifact: &Result<PreparedSource, PrepareFailu
     }
 }
 
-/// Runs one job against the shared prefix cache. Used by both
-/// [`run_batch`] and [`crate::portfolio::verify_portfolio`].
+/// Runs one job against the shared prefix cache (every [`run_batch`] and
+/// service job attempt goes through here).
 ///
 /// `obs` receives the phase spans: `"prepare"` fires only when this call
 /// actually computed the prefix (a cache miss); `"symex"` and `"p4"`
@@ -412,7 +396,7 @@ pub(crate) fn prep_artifact_bytes(artifact: &Result<PreparedSource, PrepareFailu
 /// payload fails [`blob::from_blob`] is quarantined exactly like frame
 /// corruption; the job recomputes and the hit flag reflects whether
 /// *this job* ran `prepare`, so metric billing stays single-count.
-pub(crate) fn verify_with_cache(
+fn verify_with_cache(
     cache: &ArtifactCache<Result<PreparedSource, PrepareFailure>>,
     disk: Option<&BlobStore>,
     input: &SoftwarePairInput<'_>,
@@ -1459,6 +1443,78 @@ fine:
     }
 
     #[test]
+    fn by_urgency_is_most_urgent_first_and_worker_count_independent() {
+        // A shared function that stores one byte past a 4-byte buffer, so
+        // a triggered clone crashes out of bounds (CWE-119). Safe clones
+        // are interleaved with triggered ones, a safe clone submitted
+        // first: the urgency sort must move every triggered entry ahead
+        // and keep submission order within each bucket.
+        const OOB: &str = r#"
+func decode(fd) {
+entry:
+    v = getc fd
+    c = eq v, 0x41
+    br c, boom, fine
+boom:
+    buf = alloc 4
+    store.1 buf + 4, v
+    jmp fine
+fine:
+    ret
+}
+"#;
+        let s = parse_program(&format!(
+            "func main() {{\nentry:\n fd = open\n call decode(fd)\n halt 0\n}}\n{OOB}"
+        ))
+        .unwrap();
+        let safe = parse_program(&format!("func main() {{\nentry:\n halt 0\n}}\n{OOB}")).unwrap();
+        let jobs: Vec<BatchJob> = ["a", "b", "c", "d", "e", "f", "g"]
+            .iter()
+            .enumerate()
+            .map(|(i, name)| BatchJob {
+                name: name.to_string(),
+                s: s.clone(),
+                t: if i % 3 == 0 { safe.clone() } else { s.clone() },
+                poc: PocFile::from(&b"A"[..]),
+                shared: vec!["decode".to_string()],
+            })
+            .collect();
+        let order = |workers: usize| -> Vec<(String, Urgency, &'static str)> {
+            let options = BatchOptions {
+                workers,
+                ..BatchOptions::default()
+            };
+            let report = run_batch(&jobs, &PipelineConfig::default(), &options, &NullSink);
+            let ordered = report.by_urgency();
+            let text = crate::portfolio::render_portfolio(&ordered);
+            assert!(text.starts_with(" 1. b "), "{text}");
+            assert!(text.contains("patch immediately"), "{text}");
+            assert!(text.contains("verified not triggerable"), "{text}");
+            ordered
+                .into_iter()
+                .map(|e| (e.name.clone(), e.urgency, e.report.verdict.type_label()))
+                .collect()
+        };
+        let reference = order(1);
+        let names: Vec<&str> = reference.iter().map(|(n, _, _)| n.as_str()).collect();
+        assert_eq!(names, ["b", "c", "e", "f", "a", "d", "g"]);
+        assert!(reference[..4]
+            .iter()
+            .all(|(_, u, _)| *u == Urgency::TriggeredCorruption));
+        assert!(reference[4..]
+            .iter()
+            .all(|(_, u, _)| *u == Urgency::VerifiedSafe));
+        // Verdicts AND order must be identical for any worker count…
+        for workers in [2, 8] {
+            assert_eq!(order(workers), reference, "workers={workers}");
+        }
+        // …and independent of how the steals interleave across runs.
+        for round in 0..3 {
+            assert_eq!(order(8), reference, "round={round}");
+        }
+    }
+
+    #[test]
     fn per_job_deadline_fails_fast_without_stalling() {
         let jobs = vec![job("gated", t_gated()), job("safe", t_safe())];
         let options = BatchOptions {
@@ -1595,6 +1651,7 @@ fine:
             } => assert!(panic_msg.contains("injected panic"), "{panic_msg}"),
             other => panic!("expected Internal, got {other:?}"),
         }
+        assert_eq!(victim.urgency, Urgency::Unknown);
         let pm = victim.report.post_mortem.as_ref().expect("synthesized");
         assert_eq!(pm.event, "panic");
         // A panic under the default single-attempt policy quarantines.

@@ -1439,7 +1439,7 @@ fn results_main(argv: &[String]) -> ExitCode {
                 for (i, row) in jobs.iter().enumerate() {
                     out.push_str(&format!(
                         "{{\"name\":\"{}\",{}}}{}\n",
-                        octo_serve::json::json_escape(&row.name),
+                        octo_codec::json_escape(&row.name),
                         row.verdict.render_fields(),
                         if i + 1 == jobs.len() { "" } else { "," }
                     ));
@@ -1534,7 +1534,7 @@ struct TopReport {
 /// Sums counter deltas and reads end-of-span gauges from the last
 /// `want` windows of a `/metrics/rates` body.
 fn top_report(body: &str, want: usize) -> Result<TopReport, String> {
-    let doc = octo_serve::json::parse_json(body).map_err(|e| format!("bad rates body: {e}"))?;
+    let doc = octo_codec::parse_json(body).map_err(|e| format!("bad rates body: {e}"))?;
     let all = doc
         .get("windows")
         .and_then(|w| w.as_array())

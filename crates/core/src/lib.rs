@@ -115,9 +115,7 @@ pub use pipeline::{
     prepare, verify, verify_prepared, verify_prepared_observed, PrepareFailure, PreparedSource,
     SoftwarePairInput, VerificationReport,
 };
-pub use portfolio::{
-    render_portfolio, verify_portfolio, verify_portfolio_with_faults, Job, PortfolioEntry, Urgency,
-};
+pub use portfolio::{render_portfolio, Urgency};
 pub use preprocess::{identify_ep, PreprocessError};
 pub use scan::{
     corpus_scan_inputs, expand_scan, run_scan, PairCandidates, ScanExpansion, ScanReport,

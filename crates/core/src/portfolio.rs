@@ -1,35 +1,19 @@
-//! Portfolio verification and patch prioritisation — §VII "Practical
-//! usage" made operational.
+//! Patch prioritisation — §VII "Practical usage" made operational.
 //!
 //! "Assume that a developer has confirmed that several pieces of
 //! propagated vulnerable code exist in their software. At this point, they
 //! can use OCTOPOCS to determine which vulnerabilities need to be patched
 //! more urgently (i.e., they can prioritize vulnerability patches)."
 //!
-//! [`verify_portfolio`] runs the pipeline over a set of jobs on the
-//! work-stealing scheduler ([`octo_sched::run_jobs`]) — job costs are
-//! wildly skewed, so static chunking would stall whole chunks behind one
-//! slow symbolic-execution job — and returns the results ordered by patch
-//! urgency: demonstrated-triggerable clones first (most severe crash
-//! class leading), then verification failures (unknown risk), then
-//! verified-safe clones. Jobs sharing `(S, poc, ℓ)` share the pipeline
-//! prefix through the batch artifact cache (see [`crate::batch`]).
+//! [`crate::batch::run_batch`] verifies the job set;
+//! [`crate::batch::BatchReport::by_urgency`] orders it by the [`Urgency`]
+//! of each verdict: demonstrated-triggerable clones first (most severe
+//! crash class leading), then verification failures (unknown risk), then
+//! verified-safe clones. [`render_portfolio`] prints that order with a
+//! recommendation per entry.
 
-use octo_sched::{run_jobs, ArtifactCache};
-
-use crate::batch::verify_with_cache;
-use crate::config::PipelineConfig;
-use crate::pipeline::{SoftwarePairInput, VerificationReport};
+use crate::batch::BatchEntry;
 use crate::verdict::Verdict;
-
-/// One named verification job.
-#[derive(Debug, Clone, Copy)]
-pub struct Job<'a> {
-    /// Display name (e.g. "CVE-2016-10095 → opj_compress").
-    pub name: &'a str,
-    /// The pipeline inputs.
-    pub input: SoftwarePairInput<'a>,
-}
 
 /// The urgency bucket a verified job lands in (ascending = more urgent).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -70,87 +54,9 @@ impl Urgency {
     }
 }
 
-/// One entry of the prioritised report.
-#[derive(Debug)]
-pub struct PortfolioEntry {
-    /// Job name.
-    pub name: String,
-    /// Urgency bucket.
-    pub urgency: Urgency,
-    /// The full verification report.
-    pub report: VerificationReport,
-}
-
-/// Verifies every job (on up to `threads` work-stealing workers) and
-/// returns the entries sorted most-urgent-first (the sort is stable, so
-/// entries within one urgency bucket stay in submission order).
-///
-/// Jobs that share a source prefix `(S, poc, ℓ, config)` run
-/// preprocessing and P1 once, through a batch-local artifact cache.
-///
-/// Never propagates a panic from a worker: a panicking arm is caught by
-/// the scheduler's isolation envelope and degraded to a
-/// [`crate::verdict::FailureReason::Internal`] entry (urgency
-/// `Unknown`), so the surviving arms' verdicts are still returned.
-pub fn verify_portfolio(
-    jobs: &[Job<'_>],
-    config: &PipelineConfig,
-    threads: usize,
-) -> Vec<PortfolioEntry> {
-    verify_portfolio_with_faults(jobs, config, threads, None)
-}
-
-/// [`verify_portfolio`] with a deterministic [`octo_faults::FaultPlan`]
-/// installed around each arm (keyed by submission index), for chaos
-/// testing the portfolio path itself.
-pub fn verify_portfolio_with_faults(
-    jobs: &[Job<'_>],
-    config: &PipelineConfig,
-    threads: usize,
-    faults: Option<&std::sync::Arc<octo_faults::FaultPlan>>,
-) -> Vec<PortfolioEntry> {
-    let cache = ArtifactCache::new();
-    let indices: Vec<usize> = (0..jobs.len()).collect();
-    let (results, _stats) = run_jobs(indices, threads.max(1), |_worker, i| {
-        let job = &jobs[i];
-        let faults_ctx =
-            faults.map(|plan| std::sync::Arc::new(octo_faults::JobFaults::new(plan, i as u32)));
-        let _guard = faults_ctx.as_ref().map(octo_faults::install);
-        let (report, _cache_hit, _key) = verify_with_cache(
-            &cache,
-            None,
-            &job.input,
-            config,
-            None,
-            &octo_obs::NullObserver,
-        );
-        PortfolioEntry {
-            name: job.name.to_string(),
-            urgency: Urgency::of(&report.verdict),
-            report,
-        }
-    });
-    let mut entries: Vec<PortfolioEntry> = results
-        .into_iter()
-        .enumerate()
-        .map(|(i, result)| match result {
-            Ok(entry) => entry,
-            Err(panic) => {
-                let report = VerificationReport::from_panic(panic.message);
-                PortfolioEntry {
-                    name: jobs[i].name.to_string(),
-                    urgency: Urgency::of(&report.verdict),
-                    report,
-                }
-            }
-        })
-        .collect();
-    entries.sort_by_key(|e| e.urgency);
-    entries
-}
-
-/// Renders the prioritised report as plain text.
-pub fn render_portfolio(entries: &[PortfolioEntry]) -> String {
+/// Renders a prioritised report (for example
+/// [`crate::batch::BatchReport::by_urgency`]) as plain text.
+pub fn render_portfolio(entries: &[&BatchEntry]) -> String {
     let mut out = String::new();
     for (i, e) in entries.iter().enumerate() {
         out.push_str(&format!(
@@ -167,176 +73,6 @@ pub fn render_portfolio(entries: &[PortfolioEntry]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use octo_ir::parse::parse_program;
-    use octo_poc::PocFile;
-
-    const SHARED: &str = r#"
-func decode(fd) {
-entry:
-    v = getc fd
-    c = eq v, 0x41
-    br c, boom, fine
-boom:
-    buf = alloc 4
-    store.1 buf + 4, v
-    jmp fine
-fine:
-    ret
-}
-"#;
-
-    fn s_prog() -> octo_ir::Program {
-        parse_program(&format!(
-            "func main() {{\nentry:\n fd = open\n call decode(fd)\n halt 0\n}}\n{SHARED}"
-        ))
-        .expect("parses")
-    }
-
-    fn t_triggered() -> octo_ir::Program {
-        s_prog()
-    }
-
-    fn t_safe() -> octo_ir::Program {
-        parse_program(&format!("func main() {{\nentry:\n halt 0\n}}\n{SHARED}")).expect("parses")
-    }
-
-    #[test]
-    fn portfolio_sorts_by_urgency() {
-        let s = s_prog();
-        let t1 = t_triggered();
-        let t2 = t_safe();
-        let poc = PocFile::from(&b"A"[..]);
-        let shared = vec!["decode".to_string()];
-        let jobs = vec![
-            Job {
-                name: "safe-clone",
-                input: SoftwarePairInput {
-                    s: &s,
-                    t: &t2,
-                    poc: &poc,
-                    shared: &shared,
-                },
-            },
-            Job {
-                name: "live-clone",
-                input: SoftwarePairInput {
-                    s: &s,
-                    t: &t1,
-                    poc: &poc,
-                    shared: &shared,
-                },
-            },
-        ];
-        let entries = verify_portfolio(&jobs, &PipelineConfig::default(), 2);
-        assert_eq!(entries.len(), 2);
-        // The triggered clone must sort first.
-        assert_eq!(entries[0].name, "live-clone");
-        assert_eq!(entries[0].urgency, Urgency::TriggeredCorruption);
-        assert_eq!(entries[1].name, "safe-clone");
-        assert_eq!(entries[1].urgency, Urgency::VerifiedSafe);
-        let text = render_portfolio(&entries);
-        assert!(text.contains("patch immediately"), "{text}");
-        assert!(text.contains("verified not triggerable"), "{text}");
-    }
-
-    #[test]
-    fn single_thread_and_many_threads_agree() {
-        // A mixed bag: triggered and safe clones interleaved, so the
-        // final ordering exercises both the urgency sort and the
-        // scheduler's submission-order guarantee within each bucket.
-        let s = s_prog();
-        let t1 = t_triggered();
-        let t2 = t_safe();
-        let poc = PocFile::from(&b"A"[..]);
-        let shared = vec!["decode".to_string()];
-        let names = ["a", "b", "c", "d", "e", "f", "g", "h", "i", "j"];
-        let jobs: Vec<Job<'_>> = names
-            .iter()
-            .enumerate()
-            .map(|(i, name)| Job {
-                name,
-                input: SoftwarePairInput {
-                    s: &s,
-                    t: if i % 3 == 0 { &t2 } else { &t1 },
-                    poc: &poc,
-                    shared: &shared,
-                },
-            })
-            .collect();
-        let fingerprint = |entries: &[PortfolioEntry]| -> Vec<(String, Urgency, &'static str)> {
-            entries
-                .iter()
-                .map(|e| (e.name.clone(), e.urgency, e.report.verdict.type_label()))
-                .collect()
-        };
-        let reference = fingerprint(&verify_portfolio(&jobs, &PipelineConfig::default(), 1));
-        // Verdicts AND order must be identical for any worker count…
-        for workers in [2, 8] {
-            let got = fingerprint(&verify_portfolio(
-                &jobs,
-                &PipelineConfig::default(),
-                workers,
-            ));
-            assert_eq!(got, reference, "workers={workers}");
-        }
-        // …and independent of how the steals interleave across runs.
-        for round in 0..3 {
-            let got = fingerprint(&verify_portfolio(&jobs, &PipelineConfig::default(), 8));
-            assert_eq!(got, reference, "round={round}");
-        }
-    }
-
-    #[test]
-    fn panicking_arm_degrades_without_killing_the_portfolio() {
-        use crate::verdict::FailureReason;
-        use octo_faults::{FaultPlan, FaultSite};
-        use std::sync::Arc;
-
-        let s = s_prog();
-        let t1 = t_triggered();
-        let t2 = t_safe();
-        let poc = PocFile::from(&b"A"[..]);
-        let shared = vec!["decode".to_string()];
-        let jobs = vec![
-            Job {
-                name: "live-clone",
-                input: SoftwarePairInput {
-                    s: &s,
-                    t: &t1,
-                    poc: &poc,
-                    shared: &shared,
-                },
-            },
-            Job {
-                name: "safe-clone",
-                input: SoftwarePairInput {
-                    s: &s,
-                    t: &t2,
-                    poc: &poc,
-                    shared: &shared,
-                },
-            },
-        ];
-        // Job 0's directed engine panics on entry; job 1 must survive.
-        let plan = Arc::new(FaultPlan::new(3).nth(FaultSite::DirectedPanic, Some(0), 1));
-        let entries =
-            verify_portfolio_with_faults(&jobs, &PipelineConfig::default(), 2, Some(&plan));
-        assert_eq!(entries.len(), 2, "no arm was lost");
-        let dead = entries.iter().find(|e| e.name == "live-clone").unwrap();
-        assert_eq!(dead.urgency, Urgency::Unknown);
-        match &dead.report.verdict {
-            Verdict::Failure {
-                reason: FailureReason::Internal { panic_msg },
-            } => assert!(panic_msg.contains("injected panic"), "{panic_msg}"),
-            other => panic!("expected Internal failure, got {other:?}"),
-        }
-        let safe = entries.iter().find(|e| e.name == "safe-clone").unwrap();
-        assert_eq!(
-            safe.urgency,
-            Urgency::VerifiedSafe,
-            "survivor's verdict kept"
-        );
-    }
 
     #[test]
     fn urgency_ordering_is_total() {

@@ -21,15 +21,14 @@
 //! job's shared set. `docs/clone-scanning.md` discusses the trade-off.
 
 use octo_clone::{fingerprint_program, retrieve_from_fingerprints, Candidate, CloneParams};
+use octo_codec::json_escape;
 use octo_ir::Program;
 use octo_lint::ReachKind;
 use octo_poc::PocFile;
 use octo_sched::EventSink;
 use octo_trace::TraceKind;
 
-use crate::batch::{
-    json_escape, run_batch, BatchJob, BatchOptions, BatchReport, SCORE_CENTI_BUCKETS,
-};
+use crate::batch::{run_batch, BatchJob, BatchOptions, BatchReport, SCORE_CENTI_BUCKETS};
 use crate::config::PipelineConfig;
 
 /// One vulnerable source in a scan: the software, its crashing PoC,

@@ -39,6 +39,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+use octo_codec::JsonValue;
 use octo_trace::TraceKind;
 
 /// Number of distinct injection sites (length of [`FaultSite::ALL`]).
@@ -228,7 +229,8 @@ impl FaultPlan {
     }
 
     /// Renders the plan in the same JSON schema [`FaultPlan::parse_json`]
-    /// accepts (round-trips exactly).
+    /// accepts (round-trips exactly while `seed` and every `nth` are at
+    /// most `i64::MAX`).
     pub fn render_json(&self) -> String {
         let mut out = format!("{{\"seed\":{},\"rules\":[", self.seed);
         for (i, r) in self.rules.iter().enumerate() {
@@ -257,20 +259,32 @@ impl FaultPlan {
     ///            {"site": "cache-miss", "probability": 0.25}]}
     /// ```
     ///
+    /// The document is strict JSON (read by [`octo_codec::parse_json`]).
     /// `seed` and `rules` are required; per rule, `site` plus exactly one
     /// of `nth` / `probability` are required and `job` is optional.
-    /// Unknown keys are rejected so typos fail loudly.
+    /// `seed`, `job` and `nth` are JSON integers in `0..=i64::MAX` (a
+    /// fraction or exponent is rejected, so every accepted value is
+    /// exact); `probability` is any JSON number in `[0, 1]`. Unknown keys
+    /// are rejected so typos fail loudly.
     pub fn parse_json(text: &str) -> Result<FaultPlan, String> {
-        let mut p = Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        };
-        let plan = p.plan()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(format!("trailing data at byte {}", p.pos));
+        let doc = octo_codec::parse_json(text)?;
+        let fields = doc.as_object().ok_or("fault plan must be a JSON object")?;
+        let mut seed = None;
+        let mut rules = None;
+        for (key, value) in fields {
+            match key.as_str() {
+                "seed" => seed = Some(integer(value, "seed")?),
+                "rules" => {
+                    let items = value.as_array().ok_or("\"rules\" must be an array")?;
+                    rules = Some(items.iter().map(parse_rule).collect::<Result<_, _>>()?);
+                }
+                other => return Err(format!("unknown fault-plan key \"{other}\"")),
+            }
         }
-        Ok(plan)
+        Ok(FaultPlan {
+            seed: seed.ok_or("missing \"seed\"")?,
+            rules: rules.ok_or("missing \"rules\"")?,
+        })
     }
 }
 
@@ -282,191 +296,50 @@ fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// Minimal recursive-descent parser for the fault-plan schema. The build
-/// environment has no route to crates.io (no serde), so this follows the
-/// workspace convention of hand-rolled renderers and parsers.
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
+fn integer(value: &JsonValue, what: &str) -> Result<u64, String> {
+    value
+        .as_u64()
+        .ok_or_else(|| format!("{what} must be a non-negative integer, got {value:?}"))
 }
 
-impl Parser<'_> {
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_whitespace())
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected '{}' at byte {}", b as char, self.pos))
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let start = self.pos;
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b'\\' {
-                return Err(format!("escape sequences unsupported at byte {}", self.pos));
+/// One element of the plan's `rules` array.
+fn parse_rule(value: &JsonValue) -> Result<FaultRule, String> {
+    let fields = value.as_object().ok_or("rule must be a JSON object")?;
+    let mut site = None;
+    let mut job = None;
+    let mut trigger = None;
+    for (key, value) in fields {
+        match key.as_str() {
+            "site" => {
+                let label = value.as_str().ok_or("\"site\" must be a string")?;
+                site = Some(
+                    FaultSite::from_label(label)
+                        .ok_or_else(|| format!("unknown fault site \"{label}\""))?,
+                );
             }
-            if b == b'"' {
-                let s = std::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|_| "invalid utf-8 in string".to_string())?
-                    .to_string();
-                self.pos += 1;
-                return Ok(s);
+            "job" => {
+                let j = integer(value, "job")?;
+                job = Some(u32::try_from(j).map_err(|_| "job out of range".to_string())?);
             }
-            self.pos += 1;
-        }
-        Err("unterminated string".to_string())
-    }
-
-    fn number(&mut self) -> Result<f64, String> {
-        self.skip_ws();
-        let start = self.pos;
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E'))
-        {
-            self.pos += 1;
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()
-            .and_then(|s| s.parse::<f64>().ok())
-            .ok_or_else(|| format!("expected number at byte {start}"))
-    }
-
-    fn integer(&mut self, what: &str) -> Result<u64, String> {
-        let n = self.number()?;
-        if n < 0.0 || n.fract() != 0.0 || n > u64::MAX as f64 {
-            return Err(format!("{what} must be a non-negative integer, got {n}"));
-        }
-        Ok(n as u64)
-    }
-
-    fn plan(&mut self) -> Result<FaultPlan, String> {
-        self.expect(b'{')?;
-        let mut seed = None;
-        let mut rules = None;
-        loop {
-            match self.peek() {
-                Some(b'}') => {
-                    self.pos += 1;
-                    break;
+            "nth" | "probability" if trigger.is_some() => {
+                return Err("rule has both \"nth\" and \"probability\"".to_string());
+            }
+            "nth" => trigger = Some(Trigger::Nth(integer(value, "nth")?)),
+            "probability" => {
+                let p = value.as_f64().ok_or("probability must be a number")?;
+                if !(0.0..=1.0).contains(&p) {
+                    return Err(format!("probability must be in [0, 1], got {p}"));
                 }
-                Some(b',') if seed.is_some() || rules.is_some() => self.pos += 1,
-                _ => {}
+                trigger = Some(Trigger::Probability(p));
             }
-            if self.peek() == Some(b'}') {
-                self.pos += 1;
-                break;
-            }
-            let key = self.string()?;
-            self.expect(b':')?;
-            match key.as_str() {
-                "seed" => seed = Some(self.integer("seed")?),
-                "rules" => rules = Some(self.rule_array()?),
-                other => return Err(format!("unknown fault-plan key \"{other}\"")),
-            }
-        }
-        Ok(FaultPlan {
-            seed: seed.ok_or("missing \"seed\"")?,
-            rules: rules.ok_or("missing \"rules\"")?,
-        })
-    }
-
-    fn rule_array(&mut self) -> Result<Vec<FaultRule>, String> {
-        self.expect(b'[')?;
-        let mut rules = Vec::new();
-        loop {
-            match self.peek() {
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(rules);
-                }
-                Some(b',') if !rules.is_empty() => self.pos += 1,
-                _ => {}
-            }
-            if self.peek() == Some(b']') {
-                self.pos += 1;
-                return Ok(rules);
-            }
-            rules.push(self.rule()?);
+            other => return Err(format!("unknown rule key \"{other}\"")),
         }
     }
-
-    fn rule(&mut self) -> Result<FaultRule, String> {
-        self.expect(b'{')?;
-        let mut site = None;
-        let mut job = None;
-        let mut trigger = None;
-        loop {
-            match self.peek() {
-                Some(b'}') => {
-                    self.pos += 1;
-                    break;
-                }
-                Some(b',') if site.is_some() || job.is_some() || trigger.is_some() => self.pos += 1,
-                _ => {}
-            }
-            if self.peek() == Some(b'}') {
-                self.pos += 1;
-                break;
-            }
-            let key = self.string()?;
-            self.expect(b':')?;
-            match key.as_str() {
-                "site" => {
-                    let label = self.string()?;
-                    site = Some(
-                        FaultSite::from_label(&label)
-                            .ok_or_else(|| format!("unknown fault site \"{label}\""))?,
-                    );
-                }
-                "job" => {
-                    let j = self.integer("job")?;
-                    job = Some(u32::try_from(j).map_err(|_| "job out of range".to_string())?);
-                }
-                "nth" => {
-                    if trigger.is_some() {
-                        return Err("rule has both \"nth\" and \"probability\"".to_string());
-                    }
-                    trigger = Some(Trigger::Nth(self.integer("nth")?));
-                }
-                "probability" => {
-                    if trigger.is_some() {
-                        return Err("rule has both \"nth\" and \"probability\"".to_string());
-                    }
-                    let p = self.number()?;
-                    if !(0.0..=1.0).contains(&p) {
-                        return Err(format!("probability must be in [0, 1], got {p}"));
-                    }
-                    trigger = Some(Trigger::Probability(p));
-                }
-                other => return Err(format!("unknown rule key \"{other}\"")),
-            }
-        }
-        Ok(FaultRule {
-            site: site.ok_or("rule missing \"site\"")?,
-            job,
-            trigger: trigger.ok_or("rule missing \"nth\" or \"probability\"")?,
-        })
-    }
+    Ok(FaultRule {
+        site: site.ok_or("rule missing \"site\"")?,
+        job,
+        trigger: trigger.ok_or("rule missing \"nth\" or \"probability\"")?,
+    })
 }
 
 /// Per-job injection state: the plan, the job's submission index, and one
@@ -668,6 +541,18 @@ mod tests {
         let back = FaultPlan::parse_json(&json).expect("round-trip parse");
         assert_eq!(back, plan);
         assert_eq!(back.render_json(), json);
+        // Integers above 2^53 are exact, not rounded through f64.
+        for seed in [(1u64 << 53) + 1, i64::MAX as u64] {
+            let plan = FaultPlan::new(seed).nth(FaultSite::CacheMiss, None, seed);
+            assert_eq!(FaultPlan::parse_json(&plan.render_json()), Ok(plan));
+        }
+        // An integer probability (the committed golden plan's form) is a
+        // number like any other.
+        let p1 = FaultPlan::parse_json(
+            "{\"seed\":1,\"rules\":[{\"site\":\"solver-solve\",\"probability\":1}]}",
+        )
+        .expect("integer probability");
+        assert_eq!(p1.rules()[0].trigger, Trigger::Probability(1.0));
     }
 
     #[test]
@@ -711,6 +596,29 @@ mod tests {
             FaultPlan::parse_json("{\"seed\":1,\"rules\":[]} x").is_err(),
             "trailing data"
         );
+        for (bad, why) in [
+            (
+                "{\"seed\":1 \"rules\":[{\"site\":\"cache-miss\" \"nth\":1}]}",
+                "missing commas",
+            ),
+            ("{\"seed\":1.0,\"rules\":[]}", "float seed"),
+            ("{\"seed\":1e3,\"rules\":[]}", "exponent seed"),
+            ("{\"seed\":-1,\"rules\":[]}", "negative seed"),
+            (
+                "{\"seed\":18446744073709551615,\"rules\":[]}",
+                "seed above i64",
+            ),
+            (
+                "{\"seed\":1,\"rules\":[{\"site\":\"cache-miss\",\"nth\":2.0}]}",
+                "float nth",
+            ),
+            (
+                "{\"seed\":1,\"rules\":[{\"site\":\"cache-miss\",\"job\":4294967296,\"nth\":1}]}",
+                "job above u32",
+            ),
+        ] {
+            assert!(FaultPlan::parse_json(bad).is_err(), "{why}: {bad}");
+        }
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! AFL-style edge coverage.
 
+use octo_codec::Fnv;
 use octo_ir::{BlockId, FuncId};
 use octo_vm::Hook;
 
@@ -70,16 +71,13 @@ impl Bitmap {
     /// identifier (used for the path-frequency statistic `f(i)`).
     pub fn path_hash(&self) -> u64 {
         // FNV-1a over non-zero (index, value) pairs.
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut h = Fnv::new();
         for (i, &b) in self.map.iter().enumerate() {
             if b != 0 {
-                for byte in [(i & 0xFF) as u8, (i >> 8) as u8, b] {
-                    h ^= u64::from(byte);
-                    h = h.wrapping_mul(0x100_0000_01b3);
-                }
+                h.write(&[(i & 0xFF) as u8, (i >> 8) as u8, b]);
             }
         }
-        h
+        h.finish()
     }
 }
 

@@ -2,6 +2,8 @@
 
 use std::fmt;
 
+use octo_codec::json_escape;
+
 /// How serious a finding is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Severity {
@@ -185,20 +187,6 @@ impl LintReport {
     /// "summary": {...}}`), dependency-free like the rest of the
     /// workspace's machine output.
     pub fn render_json(&self) -> String {
-        fn esc(s: &str) -> String {
-            let mut out = String::with_capacity(s.len());
-            for c in s.chars() {
-                match c {
-                    '"' => out.push_str("\\\""),
-                    '\\' => out.push_str("\\\\"),
-                    '\n' => out.push_str("\\n"),
-                    '\t' => out.push_str("\\t"),
-                    c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                    c => out.push(c),
-                }
-            }
-            out
-        }
         let mut out = String::from("{\"diagnostics\":[");
         for (i, d) in self.diags.iter().enumerate() {
             if i > 0 {
@@ -209,12 +197,12 @@ impl LintReport {
                  \"message\":\"{}\"}}",
                 d.rule.id(),
                 d.severity(),
-                esc(&d.func),
+                json_escape(&d.func),
                 match &d.block {
-                    Some(b) => format!("\"{}\"", esc(b)),
+                    Some(b) => format!("\"{}\"", json_escape(b)),
                     None => "null".to_string(),
                 },
-                esc(&d.message),
+                json_escape(&d.message),
             ));
         }
         let s = &self.summary;
@@ -268,12 +256,13 @@ mod tests {
                 rule: Rule::Val001,
                 func: "we\"ird".into(),
                 block: None,
-                message: "x".into(),
+                message: "x\ry".into(),
             }],
             summary: LintSummary::default(),
         };
         let j = report.render_json();
         assert!(j.contains("we\\\"ird"));
+        assert!(j.contains("x\\ry"), "{j}");
         assert!(j.contains("\"block\":null"));
     }
 }

@@ -12,6 +12,8 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
+use octo_codec::json_escape;
+
 /// A monotonically increasing counter.
 #[derive(Debug, Default)]
 pub struct Counter {
@@ -449,11 +451,7 @@ impl MetricsRegistry {
                             if i > 0 {
                                 out.push(',');
                             }
-                            out.push_str(&format!(
-                                "\"{}\":\"{}\"",
-                                label_escape(k),
-                                label_escape(v)
-                            ));
+                            out.push_str(&format!("\"{}\":\"{}\"", json_escape(k), json_escape(v)));
                         }
                         out.push('}');
                     }
@@ -540,9 +538,9 @@ impl MetricsRegistry {
     }
 }
 
-/// Escapes a label key/value for both JSON and the Prometheus text
-/// format (quotes, backslashes, newlines — the characters the two
-/// grammars share as specials).
+/// Escapes a label key/value for the Prometheus text format, whose
+/// specials are only quotes, backslashes and newlines (JSON output uses
+/// [`json_escape`] instead).
 fn label_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {

@@ -4,8 +4,8 @@
 //! cloned from one vulnerable source `S` all need the same preprocessing
 //! and P1 crash-primitive extraction. [`ArtifactCache`] memoizes such
 //! artifacts under a content hash of *everything the computation depends
-//! on* — callers derive the key with [`KeyHasher`] from the input bytes
-//! and configuration, so any change to any ingredient produces a
+//! on* — callers derive the key with `octo_codec::Fnv` from the input
+//! bytes and configuration, so any change to any ingredient produces a
 //! different key and an honest miss.
 //!
 //! The cache is **single-flight**: when several workers request the same
@@ -17,60 +17,6 @@
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-
-/// FNV-1a (64-bit) content hasher for cache-key derivation.
-///
-/// Deliberately not `std::hash::Hasher`: keys must be stable across runs
-/// and platforms (they appear in reports and golden files), which rules
-/// out `RandomState` and friends.
-#[derive(Debug, Clone)]
-pub struct KeyHasher {
-    state: u64,
-}
-
-impl Default for KeyHasher {
-    fn default() -> KeyHasher {
-        KeyHasher::new()
-    }
-}
-
-impl KeyHasher {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-
-    /// A fresh hasher at the FNV offset basis.
-    pub fn new() -> KeyHasher {
-        KeyHasher {
-            state: Self::OFFSET,
-        }
-    }
-
-    /// Feeds raw bytes.
-    pub fn write(&mut self, bytes: &[u8]) -> &mut KeyHasher {
-        for &b in bytes {
-            self.state ^= u64::from(b);
-            self.state = self.state.wrapping_mul(Self::PRIME);
-        }
-        self
-    }
-
-    /// Feeds a length-prefixed field, so `("ab","c")` and `("a","bc")`
-    /// hash differently.
-    pub fn write_field(&mut self, bytes: &[u8]) -> &mut KeyHasher {
-        self.write_u64(bytes.len() as u64);
-        self.write(bytes)
-    }
-
-    /// Feeds one `u64` (little-endian).
-    pub fn write_u64(&mut self, v: u64) -> &mut KeyHasher {
-        self.write(&v.to_le_bytes())
-    }
-
-    /// The accumulated 64-bit key.
-    pub fn finish(&self) -> u64 {
-        self.state
-    }
-}
 
 /// A point-in-time snapshot of cache effectiveness.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -203,19 +149,6 @@ impl<V> std::fmt::Debug for ArtifactCache<V> {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicU32;
-
-    #[test]
-    fn key_hasher_is_stable_and_field_sensitive() {
-        let mut a = KeyHasher::new();
-        a.write_field(b"ab").write_field(b"c");
-        let mut b = KeyHasher::new();
-        b.write_field(b"a").write_field(b"bc");
-        assert_ne!(a.finish(), b.finish());
-        // Stable across runs: FNV-1a of "a" is a fixed constant.
-        let mut c = KeyHasher::new();
-        c.write(b"a");
-        assert_eq!(c.finish(), 0xaf63_dc4c_8601_ec8c);
-    }
 
     #[test]
     fn second_request_hits_and_skips_compute() {

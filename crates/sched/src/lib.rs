@@ -15,7 +15,7 @@
 //!   single-flight semantics: the first worker to need an artifact
 //!   computes it exactly once, concurrent requesters block and then hit.
 //!   Hit/miss/byte statistics are tracked for reporting. Keys are plain
-//!   `u64` content hashes; [`KeyHasher`] provides the FNV-1a derivation.
+//!   `u64` content hashes, derived with `octo_codec`'s FNV-1a hasher.
 //! * [`CancelToken`] — **cooperative cancellation** with optional
 //!   deadlines. Long-running engines poll the token and wind down instead
 //!   of stalling the batch. The token doubles as a per-job **heartbeat**
@@ -43,7 +43,7 @@ pub mod scheduler;
 pub mod signals;
 pub mod watchdog;
 
-pub use cache::{ArtifactCache, CacheStats, KeyHasher};
+pub use cache::{ArtifactCache, CacheStats};
 pub use cancel::CancelToken;
 pub use events::{Event, EventClock, EventKind, EventLog, EventSink, FanoutSink, NullSink};
 pub use scheduler::{run_jobs, JobPanic, SchedStats};

@@ -27,7 +27,7 @@ use octo_obs::RateRecorder;
 use octo_sched::CancelToken;
 
 use crate::daemon::Daemon;
-use crate::json::json_escape;
+use octo_codec::json_escape;
 
 /// Cap on the HTTP request line, bytes.
 pub const MAX_REQUEST_LINE_BYTES: usize = 8 * 1024;

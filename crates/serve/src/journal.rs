@@ -23,8 +23,8 @@ use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
-use crate::json::parse_json;
 use crate::proto::{parse_jobspec, render_jobspec_fields, JobSpec, VerdictSummary};
+use octo_codec::{parse_json, JsonValue};
 
 /// What a journal file contained when it was opened.
 #[derive(Debug, Default)]
@@ -105,11 +105,11 @@ impl Journal {
         let v = parse_json(line)?;
         let kind = v
             .get("journal")
-            .and_then(crate::json::JsonValue::as_str)
+            .and_then(JsonValue::as_str)
             .ok_or("missing `journal` tag")?;
         let id = v
             .get("id")
-            .and_then(crate::json::JsonValue::as_u64)
+            .and_then(JsonValue::as_u64)
             .ok_or("missing `id`")?;
         match kind {
             "job" => {

@@ -3,8 +3,9 @@
 //! Everything the long-running daemon (`octopocsd`) and its client
 //! subcommands share, engine-free:
 //!
-//! - [`json`]: a dependency-free JSON value parser for the wire and
-//!   journal formats.
+//! - [`json`]: the JSON reader for the wire and journal formats,
+//!   re-exported from `octo-codec` (where it lives) so
+//!   `octo_serve::json` keeps resolving.
 //! - [`proto`]: the line-delimited JSON wire protocol — requests,
 //!   responses, and their total parse/render pairs.
 //! - [`journal`]: the append-only durability log replayed on restart.
@@ -27,10 +28,11 @@ pub mod client;
 pub mod daemon;
 pub mod http;
 pub mod journal;
-pub mod json;
 pub mod proto;
 pub mod server;
 pub mod timeline;
+
+pub use octo_codec::json;
 
 pub use client::{Client, Endpoint};
 pub use daemon::{Daemon, ExecJob, ExecOutcome, JobExecutor, SubmitError, QUEUE_WAIT_BUCKETS};

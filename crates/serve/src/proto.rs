@@ -9,7 +9,7 @@
 //! total: malformed input yields `Err(String)`, never a panic or a
 //! dropped connection. The full reference lives in `docs/service.md`.
 
-use crate::json::{json_escape, parse_json, JsonValue};
+use octo_codec::{json_escape, parse_json, JsonValue};
 
 /// Hard cap on one protocol line (request or response), bytes. A line
 /// that exceeds it is discarded to the next newline and answered with a

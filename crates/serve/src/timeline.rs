@@ -23,8 +23,8 @@ use std::time::Instant;
 
 use octo_sched::{Event, EventSink};
 
-use crate::json::json_escape;
 use crate::proto::{JobPhase, Priority, WireEvent, WireEventKind};
+use octo_codec::json_escape;
 
 /// Cap on stored scheduler steps per job (a pathological event storm
 /// must not grow the daemon's memory without bound).

@@ -47,6 +47,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Instant, SystemTime};
 
+use octo_codec::fnv64;
 use octo_faults::FaultSite;
 use octo_obs::Histogram;
 use octo_trace::TraceKind;
@@ -57,17 +58,6 @@ pub const BLOB_MAGIC: [u8; 4] = *b"OCTB";
 pub const FRAME_VERSION: u32 = 1;
 /// Frame header size: magic + version + key + payload len + checksum.
 pub const FRAME_HEADER: usize = 4 + 4 + 8 + 8 + 8;
-
-/// FNV-1a 64-bit — same constants as the scheduler's cache `KeyHasher`,
-/// re-derived here so the bottom-layer store stays dependency-light.
-pub fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in bytes {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// Counters snapshot for reporting (`octopocs cache stats`, batch
 /// metrics sync).

@@ -1,6 +1,7 @@
 //! Validates a Chrome Trace Event Format file produced by
-//! `octopocs batch --trace-chrome`: known event names, balanced `B`/`E`
-//! pairs per worker lane, non-negative timestamps and durations.
+//! `octopocs batch --trace-chrome`: well-formed JSON, known event names,
+//! balanced `B`/`E` pairs per worker lane, non-negative timestamps and
+//! durations.
 //!
 //! Usage: `trace_check <trace.json>`. Exits 0 and prints a summary on
 //! success, exits 1 with the first problem found otherwise.

@@ -11,6 +11,8 @@
 
 use std::collections::BTreeSet;
 
+use octo_codec::{parse_json, JsonValue};
+
 use crate::TraceEvent;
 
 /// Every `name` the renderer can produce (metadata records aside).
@@ -148,54 +150,39 @@ pub struct ChromeStats {
     pub lanes: usize,
 }
 
-fn field_str<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\":\"");
-    let start = line.find(&pat)? + pat.len();
-    let end = line[start..].find('"')? + start;
-    Some(&line[start..end])
-}
-
-fn field_num(line: &str, key: &str) -> Option<i64> {
-    let pat = format!("\"{key}\":");
-    let start = line.find(&pat)? + pat.len();
-    let digits: String = line[start..]
-        .chars()
-        .take_while(|c| c.is_ascii_digit() || *c == '-')
-        .collect();
-    digits.parse().ok()
-}
-
-/// Checks a [`render_chrome`] document: known event names only,
-/// non-negative timestamps, every lane's `B`/`E` events balanced (LIFO,
-/// matching names, `E.ts >= B.ts`) with nothing left open. Returns
-/// counts on success, the first problem found on failure.
+/// Checks a [`render_chrome`] document: strict JSON with a
+/// `traceEvents` array, known event names only, non-negative
+/// timestamps, every lane's `B`/`E` events balanced (LIFO, matching
+/// names, `E.ts >= B.ts`) with nothing left open. Returns counts on
+/// success, the first problem found on failure.
 pub fn validate(text: &str) -> Result<ChromeStats, String> {
-    if !text.trim_start().starts_with("{\"traceEvents\":[") {
-        return Err("missing traceEvents envelope".into());
-    }
+    let doc = parse_json(text).map_err(|e| format!("not JSON: {e}"))?;
+    let events = doc
+        .get("traceEvents")
+        .and_then(JsonValue::as_array)
+        .ok_or("missing traceEvents envelope")?;
     let mut stats = ChromeStats::default();
     let mut lanes: BTreeSet<i64> = BTreeSet::new();
     // tid -> stack of (name, ts) for open B events.
-    let mut open: Vec<(i64, String, i64)> = Vec::new();
-    for (lineno, raw) in text.lines().enumerate() {
-        let line = raw.trim().trim_end_matches(',');
-        if !line.starts_with('{') || !line.contains("\"ph\"") {
-            continue;
-        }
-        let at = |msg: String| format!("line {}: {msg}", lineno + 1);
-        let ph = field_str(line, "ph").ok_or_else(|| at("missing ph".into()))?;
-        let name = field_str(line, "name")
-            .ok_or_else(|| at("missing name".into()))?
-            .to_string();
+    let mut open: Vec<(i64, &str, i64)> = Vec::new();
+    for (i, event) in events.iter().enumerate() {
+        let at = |msg: String| format!("event {i}: {msg}");
+        let str_field = |key: &str| event.get(key).and_then(JsonValue::as_str);
+        let int_field = |key: &str| match event.get(key) {
+            Some(JsonValue::Int(n)) => Some(*n),
+            _ => None,
+        };
+        let ph = str_field("ph").ok_or_else(|| at("missing ph".into()))?;
+        let name = str_field("name").ok_or_else(|| at("missing name".into()))?;
         if ph == "M" {
             continue;
         }
-        let tid = field_num(line, "tid").ok_or_else(|| at("missing tid".into()))?;
-        let ts = field_num(line, "ts").ok_or_else(|| at("missing ts".into()))?;
+        let tid = int_field("tid").ok_or_else(|| at("missing tid".into()))?;
+        let ts = int_field("ts").ok_or_else(|| at("missing ts".into()))?;
         if ts < 0 {
             return Err(at(format!("negative ts {ts}")));
         }
-        if !KNOWN_EVENT_NAMES.contains(&name.as_str()) {
+        if !KNOWN_EVENT_NAMES.contains(&name) {
             return Err(at(format!("unknown event name {name:?}")));
         }
         lanes.insert(tid);
@@ -217,7 +204,7 @@ pub fn validate(text: &str) -> Result<ChromeStats, String> {
                 stats.pairs += 1;
             }
             "i" => {
-                if field_str(line, "s") != Some("t") {
+                if str_field("s") != Some("t") {
                     return Err(at("instant without thread scope".into()));
                 }
                 stats.instants += 1;
@@ -254,6 +241,9 @@ mod tests {
         rec.record(0, 0, TraceKind::SpanEnd { name: "symex" });
         rec.record(1, 1, TraceKind::SpanBegin { name: "p4" });
         rec.record(1, 1, TraceKind::SpanEnd { name: "p4" });
+        // Cache keys are uniform u64s, about half above i64::MAX, which
+        // the JSON reader does not take as a number.
+        rec.record(1, 1, TraceKind::CacheQuarantined { key: u64::MAX });
         rec.snapshot()
     }
 
@@ -262,8 +252,9 @@ mod tests {
         let text = render_chrome(&sample());
         let stats = validate(&text).unwrap();
         assert_eq!(stats.pairs, 3);
-        assert_eq!(stats.instants, 1);
+        assert_eq!(stats.instants, 2);
         assert_eq!(stats.lanes, 2);
+        assert!(text.contains("\"key\":\"ffffffffffffffff\""));
         assert!(text.contains("\"thread_name\""));
         assert!(text.contains("\"worker 1\""));
     }
@@ -295,6 +286,21 @@ mod tests {
                        {\"name\":\"p4\",\"ph\":\"E\",\"pid\":1,\"tid\":0,\"ts\":2,\"args\":{}}\n\
                        ]}";
         assert!(validate(crossed).unwrap_err().contains("closes B"));
+        // Documents Chrome cannot load are rejected even when every event
+        // on its own would pass.
+        let no_comma = "{\"traceEvents\":[\n\
+                        {\"name\":\"symex\",\"ph\":\"B\",\"pid\":1,\"tid\":0,\"ts\":1,\"args\":{}}\n\
+                        {\"name\":\"symex\",\"ph\":\"E\",\"pid\":1,\"tid\":0,\"ts\":2,\"args\":{}}\n\
+                        ]}";
+        assert!(validate(no_comma).unwrap_err().contains("not JSON"));
+        let unterminated = "{\"traceEvents\":[\n\
+                            {\"name\":\"symex\",\"ph\":\"B\",\"pid\":1,\"tid\":0,\"ts\":1,\"args\":{}},\n\
+                            {\"name\":\"symex\",\"ph\":\"E\",\"pid\":1,\"tid\":0,\"ts\":2,\"args\":{}}\n\
+                            ]";
+        assert!(validate(unterminated).unwrap_err().contains("not JSON"));
+        assert!(validate("{\"events\":[]}")
+            .unwrap_err()
+            .contains("missing traceEvents envelope"));
     }
 
     #[test]

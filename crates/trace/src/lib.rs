@@ -295,7 +295,7 @@ impl TraceKind {
             TraceKind::ScanExpanded { candidates, jobs } => {
                 format!("\"candidates\":{candidates},\"jobs\":{jobs}")
             }
-            TraceKind::CacheQuarantined { key } => format!("\"key\":{key}"),
+            TraceKind::CacheQuarantined { key } => format!("\"key\":\"{key:016x}\""),
         }
     }
 }

@@ -2,23 +2,9 @@
 //! deadline: what event decided the verdict, where the last state died,
 //! and the tail of the flight record.
 
-use crate::TraceEvent;
+use octo_codec::json_escape;
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
+use crate::TraceEvent;
 
 /// Why a verification job failed to trigger, reconstructed from the
 /// flight record and the dying state. Attached to the verification

@@ -450,7 +450,7 @@ fn http_plane_serves_metrics_jobs_and_timelines() {
     // /jobs: queue summary plus all fifteen corpus jobs.
     let (status, body) = get("/jobs");
     assert_eq!(status, 200);
-    let jobs = octo_serve::json::parse_json(&body).expect("jobs body parses");
+    let jobs = octo_codec::parse_json(&body).expect("jobs body parses");
     assert_eq!(
         jobs.get("queue")
             .and_then(|q| q.get("done"))
@@ -468,7 +468,7 @@ fn http_plane_serves_metrics_jobs_and_timelines() {
     // the prepare phase span, strictly monotonic step timestamps.
     let (status, body) = get("/jobs/1");
     assert_eq!(status, 200);
-    let timeline = octo_serve::json::parse_json(&body).expect("timeline parses");
+    let timeline = octo_codec::parse_json(&body).expect("timeline parses");
     assert!(
         timeline
             .get("queue_wait_us")
