@@ -5,6 +5,7 @@
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use octo_corpus::pair_by_idx;
 use octo_ir::parse::parse_program;
+use octo_ir::BinOp;
 use octo_solver::{Cond, Constraint, ConstraintSet, Expr};
 use octo_taint::{TaintConfig, TaintEngine};
 use octo_vm::{Limits, NoHook, Vm};
@@ -103,6 +104,27 @@ fn bench_solver(c: &mut Criterion) {
             set.push(Constraint::new(Expr::byte(5), Expr::val(64), Cond::Ult));
             set.push(Constraint::new(Expr::val(8), Expr::byte(5), Cond::Ule));
             set.solve()
+        })
+    });
+    // The directed-symex hot shape (Table II Idx 14): 14 independent
+    // 2-byte word constraints `(add K le(in[a], in[a+1])) == K`, each
+    // followed by one link of the growing `(uge k in[5]) == 0` chain.
+    // Every iteration forks the set and pre-checks one new branch, as
+    // the engine does per branch; the forks share the solve memo.
+    let mut path = ConstraintSet::new();
+    for i in 0..14u32 {
+        let (k, a) = (u64::from(12 + 3 * i), 10 + 3 * i);
+        let word = Expr::bin(BinOp::Add, Expr::val(k), Expr::concat_le(a, 2));
+        path.push(Constraint::new(word, Expr::val(k), Cond::Eq));
+        let link = Expr::bin(BinOp::CmpGeU, Expr::val(u64::from(i)), Expr::byte(5));
+        path.push(Constraint::new(link, Expr::val(0), Cond::Eq));
+    }
+    group.bench_function("independent_pairs_quick_feasible", |b| {
+        b.iter(|| {
+            let mut fork = path.clone();
+            let link = Expr::bin(BinOp::CmpGeU, Expr::val(14), Expr::byte(5));
+            fork.push(Constraint::new(link, Expr::val(0), Cond::Eq));
+            fork.quick_feasible()
         })
     });
     group.finish();

@@ -1,9 +1,9 @@
 //! Measures the disk artifact cache's warm-start payoff on the corpus
 //! batch: wall time against a **cold** (empty) cache directory versus a
-//! **warm** one pre-seeded by a full prior run. Each mode runs the
-//! whole 15-pair corpus several times and keeps the best wall time
-//! (minimum is the standard noise-robust statistic for this shape of
-//! benchmark); a discarded first pass seeds the warm directory.
+//! **warm** one pre-seeded by a full prior run, on one worker. Each
+//! mode runs the whole 15-pair corpus several times and keeps the best
+//! wall time (minimum is the standard noise-robust statistic for this
+//! shape of benchmark); a discarded first pass seeds the warm directory.
 //!
 //! ```text
 //! cargo run --release -p octo-bench --bin cache_warm [-- --out PATH]
@@ -13,26 +13,17 @@
 //! the current directory) and prints them as a table. The acceptance
 //! target is warm strictly faster than cold — CI asserts it.
 
-use octo_bench::{render_table, CacheWarmRow};
+use octo_bench::{corpus_jobs, render_table, CacheWarmRow};
 use octo_sched::NullSink;
 use octopocs::batch::{run_batch, BatchJob, BatchOptions};
 use octopocs::PipelineConfig;
 
 const ITERATIONS: usize = 3;
-const WORKERS: usize = 4;
-
-fn corpus_jobs() -> Vec<BatchJob> {
-    octo_corpus::all_pairs()
-        .into_iter()
-        .map(|p| BatchJob {
-            name: p.display_name(),
-            s: p.s,
-            t: p.t,
-            poc: p.poc,
-            shared: p.shared,
-        })
-        .collect()
-}
+/// One worker: the wall is then the sum of every job's prefix and
+/// symex work, so the prefixes the disk cache skips show in it. With
+/// more workers the wall is the longest job's symex critical path,
+/// which no cache entry shortens.
+const WORKERS: usize = 1;
 
 /// One corpus batch against `cache_dir`. Returns (wall seconds,
 /// disk hits, disk writes).

@@ -3,8 +3,10 @@
 //! (daemon only — no HTTP listener, no sampler) versus **scope** (a
 //! live HTTP listener answering a `/metrics` + `/jobs/<id>` scrape
 //! every 10 ms, plus the rate sampler snapshotting the registry every
-//! 100 ms). Each mode runs the whole 15-pair corpus several times and
-//! keeps the best wall time.
+//! 100 ms). The modes take turns until each has covered
+//! [`octo_bench::MODE_SECONDS`] of corpus wall; a row reports the
+//! mode's median wall and, as its overhead, the median over rounds of
+//! its wall against the same round's plane-off wall.
 //!
 //! ```text
 //! cargo run --release -p octo-bench --bin scope_overhead [-- --out PATH]
@@ -18,30 +20,16 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use octo_bench::{render_table, ScopeOverheadRow};
+use octo_bench::{corpus_jobs, interleaved, render_table, ScopeOverheadRow};
 use octo_obs::RateRecorder;
 use octo_sched::CancelToken;
 use octo_serve::{Daemon, Priority};
 use octopocs::batch::{BatchJob, BatchOptions};
 use octopocs::{batch_job_to_spec, PipelineConfig, ServeExecutor};
 
-const ITERATIONS: usize = 3;
 const WORKERS: usize = 4;
 const SAMPLE_INTERVAL: Duration = Duration::from_millis(100);
 const SCRAPE_INTERVAL: Duration = Duration::from_millis(10);
-
-fn corpus_jobs() -> Vec<BatchJob> {
-    octo_corpus::all_pairs()
-        .into_iter()
-        .map(|p| BatchJob {
-            name: p.display_name(),
-            s: p.s,
-            t: p.t,
-            poc: p.poc,
-            shared: p.shared,
-        })
-        .collect()
-}
 
 /// Runs the corpus once through an in-process daemon and returns
 /// (wall seconds, scrapes served, sampler snapshots). `scope` turns the
@@ -130,25 +118,6 @@ fn run_once(jobs: &[BatchJob], scope: bool) -> (f64, u64, u64) {
     )
 }
 
-/// Best-of-N for both modes, interleaved off/scope/off/scope so slow
-/// machine-level drift (page cache, thermals, co-tenants) lands on
-/// both modes evenly instead of biasing whichever ran last.
-fn run_modes(jobs: &[BatchJob]) -> [(f64, u64, u64); 2] {
-    // One discarded warmup pays the lazy costs (page cache, allocator
-    // warm pools) outside the measurement.
-    let _ = run_once(jobs, false);
-    let mut best = [(f64::INFINITY, 0, 0), (f64::INFINITY, 0, 0)];
-    for _ in 0..ITERATIONS {
-        for (slot, scope) in [(0, false), (1, true)] {
-            let run = run_once(jobs, scope);
-            if run.0 < best[slot].0 {
-                best[slot] = run;
-            }
-        }
-    }
-    best
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut out_path = "BENCH_scope.json".to_string();
@@ -164,27 +133,24 @@ fn main() {
     }
 
     let jobs = corpus_jobs();
-    let measured = run_modes(&jobs);
-    let mut rows: Vec<ScopeOverheadRow> = Vec::new();
-    let mut baseline = 0.0;
-    for (slot, mode) in ["off", "scope"].into_iter().enumerate() {
-        let (seconds, scrapes, samples) = measured[slot];
-        if mode == "off" {
-            baseline = seconds;
-        }
-        let overhead_pct = if baseline > 0.0 {
-            (seconds / baseline - 1.0) * 100.0
-        } else {
-            0.0
-        };
-        rows.push(ScopeOverheadRow {
+    // One discarded warmup pays the lazy costs (page cache, allocator
+    // warm pools) outside the measurement.
+    let _ = run_once(&jobs, false);
+    let (rounds, runs) = interleaved(2, |slot| {
+        let (seconds, scrapes, samples) = run_once(&jobs, slot == 1);
+        (seconds, (scrapes, samples))
+    });
+    let rows: Vec<ScopeOverheadRow> = ["off", "scope"]
+        .into_iter()
+        .zip(runs)
+        .map(|(mode, run)| ScopeOverheadRow {
             mode: mode.to_string(),
-            seconds,
-            scrapes,
-            samples,
-            overhead_pct,
-        });
-    }
+            seconds: run.seconds,
+            scrapes: run.last.0,
+            samples: run.last.1,
+            overhead_pct: (run.ratio - 1.0) * 100.0,
+        })
+        .collect();
 
     let cells: Vec<Vec<String>> = rows
         .iter()
@@ -201,7 +167,9 @@ fn main() {
     println!(
         "{}",
         render_table(
-            "octo-scope overhead on the daemon corpus (best of 3)",
+            &format!(
+                "octo-scope overhead on the daemon corpus (median of {rounds} interleaved rounds)"
+            ),
             &["mode", "seconds", "scrapes", "samples", "overhead %"],
             &cells,
         )

@@ -1,8 +1,9 @@
 //! Measures the flight-recorder cost on the corpus batch: wall time with
 //! the recorder **off**, recording into the **ring**, and recording plus
-//! a **chrome-export** render. Each mode runs the whole 15-pair corpus
-//! several times and keeps the best wall time (minimum is the standard
-//! noise-robust statistic for this shape of benchmark).
+//! a **chrome-export** render. The modes take turns until each has
+//! covered [`octo_bench::MODE_SECONDS`] of corpus wall; a row reports
+//! the mode's median wall and, as its overhead, the median over rounds
+//! of its wall against the same round's recorder-off wall.
 //!
 //! ```text
 //! cargo run --release -p octo-bench --bin trace_overhead [-- --out PATH]
@@ -15,57 +16,37 @@
 
 use std::sync::Arc;
 
-use octo_bench::{render_table, TraceOverheadRow};
+use octo_bench::{corpus_jobs, interleaved, render_table, TraceOverheadRow};
 use octo_sched::NullSink;
 use octopocs::batch::{run_batch, BatchJob, BatchOptions};
 use octopocs::{FlightRecorder, PipelineConfig};
 
-const ITERATIONS: usize = 3;
 const WORKERS: usize = 4;
 
-fn corpus_jobs() -> Vec<BatchJob> {
-    octo_corpus::all_pairs()
-        .into_iter()
-        .map(|p| BatchJob {
-            name: p.display_name(),
-            s: p.s,
-            t: p.t,
-            poc: p.poc,
-            shared: p.shared,
-        })
-        .collect()
-}
-
-/// Runs the corpus batch `ITERATIONS` times in one recorder mode and
-/// returns (best wall seconds, events recorded, chrome export bytes).
-fn run_mode(jobs: &[BatchJob], record: bool, export: bool) -> (f64, u64, u64) {
-    let config = PipelineConfig::default();
-    let mut best = f64::INFINITY;
-    let mut events = 0u64;
-    let mut export_bytes = 0u64;
-    for _ in 0..ITERATIONS {
-        let recorder = record.then(|| Arc::new(FlightRecorder::with_default_capacity()));
-        let options = BatchOptions {
-            workers: WORKERS,
-            trace: recorder.clone(),
-            ..BatchOptions::default()
-        };
-        let start = std::time::Instant::now();
-        let report = run_batch(jobs, &config, &options, &NullSink);
-        let mut seconds = start.elapsed().as_secs_f64();
-        if let Some(rec) = &recorder {
-            if export {
-                // The export is part of the measured cost in this mode.
-                let rendered = octo_trace::chrome::render_chrome(&rec.snapshot());
-                seconds = start.elapsed().as_secs_f64();
-                export_bytes = rendered.len() as u64;
-            }
-            events = rec.len() as u64 + rec.dropped();
+/// Runs the corpus batch once in one recorder mode and returns (wall
+/// seconds, events recorded, chrome export bytes).
+fn run_once(jobs: &[BatchJob], record: bool, export: bool) -> (f64, u64, u64) {
+    let recorder = record.then(|| Arc::new(FlightRecorder::with_default_capacity()));
+    let options = BatchOptions {
+        workers: WORKERS,
+        trace: recorder.clone(),
+        ..BatchOptions::default()
+    };
+    let start = std::time::Instant::now();
+    let report = run_batch(jobs, &PipelineConfig::default(), &options, &NullSink);
+    let mut seconds = start.elapsed().as_secs_f64();
+    let (mut events, mut export_bytes) = (0, 0);
+    if let Some(rec) = &recorder {
+        if export {
+            // The export is part of the measured cost in this mode.
+            let rendered = octo_trace::chrome::render_chrome(&rec.snapshot());
+            seconds = start.elapsed().as_secs_f64();
+            export_bytes = rendered.len() as u64;
         }
-        assert_eq!(report.entries.len(), jobs.len());
-        best = best.min(seconds);
+        events = rec.len() as u64 + rec.dropped();
     }
-    (best, events, export_bytes)
+    assert_eq!(report.entries.len(), jobs.len());
+    (seconds, events, export_bytes)
 }
 
 fn main() {
@@ -88,26 +69,25 @@ fn main() {
         ("ring", true, false),
         ("chrome-export", true, true),
     ];
-    let mut rows: Vec<TraceOverheadRow> = Vec::new();
-    let mut baseline = 0.0;
-    for (mode, record, export) in modes {
-        let (seconds, events, export_bytes) = run_mode(&jobs, record, export);
-        if mode == "off" {
-            baseline = seconds;
-        }
-        let overhead_pct = if baseline > 0.0 {
-            (seconds / baseline - 1.0) * 100.0
-        } else {
-            0.0
-        };
-        rows.push(TraceOverheadRow {
+    // One discarded warmup pays the lazy costs (page cache, allocator
+    // warm pools) outside the measurement.
+    let _ = run_once(&jobs, false, false);
+    let (rounds, runs) = interleaved(modes.len(), |slot| {
+        let (_, record, export) = modes[slot];
+        let (seconds, events, export_bytes) = run_once(&jobs, record, export);
+        (seconds, (events, export_bytes))
+    });
+    let rows: Vec<TraceOverheadRow> = modes
+        .iter()
+        .zip(runs)
+        .map(|(&(mode, _, _), run)| TraceOverheadRow {
             mode: mode.to_string(),
-            seconds,
-            events,
-            export_bytes,
-            overhead_pct,
-        });
-    }
+            seconds: run.seconds,
+            events: run.last.0,
+            export_bytes: run.last.1,
+            overhead_pct: (run.ratio - 1.0) * 100.0,
+        })
+        .collect();
 
     let cells: Vec<Vec<String>> = rows
         .iter()
@@ -124,7 +104,7 @@ fn main() {
     println!(
         "{}",
         render_table(
-            "Flight-recorder overhead on the corpus batch (best of 3)",
+            &format!("Flight-recorder overhead on the corpus batch (median of {rounds} interleaved rounds)"),
             &["mode", "seconds", "events", "export bytes", "overhead %"],
             &cells,
         )

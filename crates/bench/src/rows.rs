@@ -179,13 +179,15 @@ impl Table5Row {
 pub struct TraceOverheadRow {
     /// `"off"`, `"ring"`, or `"chrome-export"`.
     pub mode: String,
-    /// Best-of-N batch wall seconds in this mode.
+    /// Median batch wall seconds in this mode.
     pub seconds: f64,
     /// Trace events recorded (0 with the recorder off).
     pub events: u64,
     /// Chrome export size in bytes (0 unless exporting).
     pub export_bytes: u64,
-    /// Wall-time overhead versus the `off` baseline, percent.
+    /// Wall-time overhead versus the `off` baseline, percent: the
+    /// median over interleaved rounds of this mode's wall against the
+    /// same round's `off` wall.
     pub overhead_pct: f64,
 }
 
@@ -208,15 +210,17 @@ impl JsonRow for TraceOverheadRow {
 pub struct ScopeOverheadRow {
     /// `"off"` or `"scope"`.
     pub mode: String,
-    /// Best-of-N daemon-corpus wall seconds in this mode.
+    /// Median daemon-corpus wall seconds in this mode.
     pub seconds: f64,
-    /// `/metrics` + `/jobs/<id>` scrapes served during the best run
+    /// `/metrics` + `/jobs/<id>` scrapes served during the last run
     /// (0 with the plane off).
     pub scrapes: u64,
-    /// Registry snapshots taken by the rate sampler during the best
+    /// Registry snapshots taken by the rate sampler during the last
     /// run (0 with the plane off).
     pub samples: u64,
-    /// Wall-time overhead versus the `off` baseline, percent.
+    /// Wall-time overhead versus the `off` baseline, percent: the
+    /// median over interleaved rounds of this mode's wall against the
+    /// same round's `off` wall.
     pub overhead_pct: f64,
 }
 

@@ -158,7 +158,8 @@ impl Histogram {
 
     /// The q-th quantile (q clamped to `[0, 1]`; NaN treated as 0),
     /// reported as the upper bound of the bucket holding the q-th
-    /// observation — or the observed maximum for the `+Inf` bucket.
+    /// observation — or the observed maximum for the `+Inf` bucket —
+    /// clamped to the observed `min..=max`.
     ///
     /// Returns `None` when the histogram is empty, so an empty batch
     /// never produces a NaN or a division by zero downstream.
@@ -170,19 +171,21 @@ impl Histogram {
         let q = if q.is_nan() { 0.0 } else { q.clamp(0.0, 1.0) };
         // Rank of the wanted observation, in [1, count].
         let rank = ((q * count as f64).ceil() as u64).clamp(1, count);
+        let max = self.max.load(Ordering::Relaxed);
+        // A bucket bound can lie outside what was observed (one
+        // observation of 3 sits in the `le 10` bucket): clamp it. `max`
+        // wins over `min` so a racing observer cannot invert the range.
+        let min = self.min.load(Ordering::Relaxed).min(max);
         let mut seen = 0u64;
         for (idx, bucket) in self.buckets.iter().enumerate() {
             seen += bucket.load(Ordering::Relaxed);
             if seen >= rank {
-                return Some(match self.bounds.get(idx) {
-                    Some(&bound) => bound,
-                    None => self.max.load(Ordering::Relaxed),
-                });
+                return Some(self.bounds.get(idx).map_or(max, |&b| b.clamp(min, max)));
             }
         }
         // Unreachable while count() is consistent with the buckets, but
         // a racing observer should degrade gracefully, not panic.
-        Some(self.max.load(Ordering::Relaxed))
+        Some(max)
     }
 
     /// Folds another histogram with identical bounds into this one.
@@ -621,9 +624,10 @@ mod tests {
     fn quantile_handles_weird_q_values() {
         let h = Histogram::new(&[10]);
         h.observe(3);
-        assert_eq!(h.quantile(-1.0), Some(10));
-        assert_eq!(h.quantile(2.0), Some(10));
-        assert_eq!(h.quantile(f64::NAN), Some(10));
+        // The bucket bound 10 is clamped to the one observation.
+        assert_eq!(h.quantile(-1.0), Some(3));
+        assert_eq!(h.quantile(2.0), Some(3));
+        assert_eq!(h.quantile(f64::NAN), Some(3));
     }
 
     #[test]

@@ -61,10 +61,10 @@ proptest! {
         match h.quantile(q) {
             None => prop_assert_eq!(h.count(), 0, "None only for the empty histogram"),
             Some(v) => {
-                // The answer is a bucket upper bound or the observed max;
-                // either way it never exceeds max(bounds.last, max obs).
-                let cap = bounds.last().copied().unwrap_or(0).max(h.max().unwrap());
-                prop_assert!(v <= cap, "quantile {v} above cap {cap}");
+                // The answer is a bucket upper bound clamped to the
+                // observed range, or the observed max.
+                let (min, max) = (h.min().unwrap(), h.max().unwrap());
+                prop_assert!(min <= v && v <= max, "quantile {v} outside {min}..={max}");
             }
         }
     }

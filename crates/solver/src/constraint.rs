@@ -6,6 +6,7 @@ use octo_ir::BinOp;
 
 use crate::expr::{Expr, ExprRef};
 use crate::simplify::simplify;
+use crate::solve::SolveMemo;
 
 /// Relation between the two sides of a [`Constraint`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -68,7 +69,7 @@ impl fmt::Display for Cond {
 }
 
 /// One relational constraint between two symbolic terms.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Constraint {
     /// Left term (simplified).
     pub lhs: ExprRef,
@@ -226,10 +227,14 @@ fn normalize(c: Constraint) -> Normalized {
 
 /// An accumulating conjunction of constraints — the path condition plus
 /// crash-primitive placements for one symbolic state.
+///
+/// Clones share one solve memo (see [`crate::solve`]): every fork of a
+/// set reuses the component answers any other fork already computed.
 #[derive(Debug, Clone, Default)]
 pub struct ConstraintSet {
     items: Vec<Constraint>,
     trivially_false: bool,
+    memo: SolveMemo,
 }
 
 impl ConstraintSet {
@@ -273,6 +278,11 @@ impl ConstraintSet {
     /// Whether the set is empty.
     pub fn is_empty(&self) -> bool {
         self.items.is_empty()
+    }
+
+    /// The solve memo this set shares with its clones.
+    pub(crate) fn memo(&self) -> &SolveMemo {
+        &self.memo
     }
 
     /// All byte offsets referenced by any constraint.

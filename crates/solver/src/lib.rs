@@ -18,11 +18,29 @@
 //! constraint normalisation decomposes equality with byte concatenations
 //! into per-byte facts, domain propagation prunes each byte's 256-value
 //! domain, and a bounded backtracking search covers residual multi-byte
-//! constraints. `Unsat` answers are what drive the paper's *loop-dead* and
+//! constraints.
+//!
+//! [`ConstraintSet::solve_with`] splits the set into connected components by shared input bytes
+//! (independence slicing, as in KLEE) and solves each component on its
+//! own: any `Unsat` component makes the set `Unsat`, then any `Unknown`
+//! makes it `Unknown`, else the component models merge. Constraints over
+//! at most one byte are solved together directly. Each component over two
+//! or more bytes is memoized, keyed by its constraints and budgets, in a
+//! memo that every clone of the set shares — in the directed engine, the
+//! forks, fallback states and branch probes of one run — and that is
+//! freed with the run's last state. So a branch check that adds
+//! `in[119] == 66` does not re-solve the 2-byte word constraints an
+//! earlier check on the same path already settled. Counters follow the
+//! work actually done: `SolverCounters::interval_refutations` counts
+//! refutations computed, so a memo hit does not count its refutation
+//! again; `SolverCounters::memo_hits` counts the hits.
+//!
+//! `Unsat` answers are what drive the paper's *loop-dead* and
 //! Type-III ("vulnerability not triggerable") verdicts, so unsoundness in
 //! either direction would corrupt the evaluation — the property tests check
-//! models against their constraint sets and cross-check `Unsat` by
-//! exhaustive enumeration on small instances.
+//! models against their constraint sets, cross-check `Unsat` by
+//! exhaustive enumeration on small instances, and check that slicing
+//! returns the verdict and model the whole-set engine reaches.
 //!
 //! ```
 //! use octo_solver::{Expr, Cond, Constraint, ConstraintSet, SolveResult};

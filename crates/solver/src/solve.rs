@@ -1,7 +1,10 @@
-//! The solving engine: domain propagation plus bounded backtracking search.
+//! The solving engine: independence slicing, a shared component memo,
+//! domain propagation and bounded backtracking search.
 
-use std::cell::Cell;
-use std::collections::BTreeMap;
+use std::cell::{Cell, RefCell};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::fmt;
+use std::rc::Rc;
 
 use crate::constraint::{Constraint, ConstraintSet};
 use crate::domain::ByteDomain;
@@ -10,6 +13,7 @@ thread_local! {
     static SOLVES: Cell<u64> = const { Cell::new(0) };
     static UNSAT_RESULTS: Cell<u64> = const { Cell::new(0) };
     static INTERVAL_REFUTATIONS: Cell<u64> = const { Cell::new(0) };
+    static MEMO_HITS: Cell<u64> = const { Cell::new(0) };
 }
 
 /// Snapshot of the thread-local solver activity counters.
@@ -18,7 +22,8 @@ thread_local! {
 /// [`ConstraintSet::quick_feasible`] pre-checks) bumps `solves`; `Unsat`
 /// results bump `unsat_results`; refutations proven by interval
 /// reasoning alone bump `interval_refutations`; rewrite-rule firings in
-/// the simplifier bump `simplify_rewrites`. Callers take two snapshots
+/// the simplifier bump `simplify_rewrites`; components answered from the
+/// solve memo bump `memo_hits`. Callers take two snapshots
 /// and diff them with [`SolverCounters::since`] to attribute work to a
 /// region — the counters are per-thread, so a verification job measures
 /// only itself.
@@ -28,10 +33,13 @@ pub struct SolverCounters {
     pub solves: u64,
     /// Solves that returned `Unsat`.
     pub unsat_results: u64,
-    /// Constraints refuted by interval reasoning during propagation.
+    /// Constraints refuted by interval reasoning during propagation
+    /// (refutations computed: a memo hit does not count one again).
     pub interval_refutations: u64,
     /// Simplifier rewrite rules fired.
     pub simplify_rewrites: u64,
+    /// Independent components answered from the solve memo.
+    pub memo_hits: u64,
 }
 
 impl SolverCounters {
@@ -42,6 +50,7 @@ impl SolverCounters {
             unsat_results: UNSAT_RESULTS.with(Cell::get),
             interval_refutations: INTERVAL_REFUTATIONS.with(Cell::get),
             simplify_rewrites: crate::simplify::rewrites_total(),
+            memo_hits: MEMO_HITS.with(Cell::get),
         }
     }
 
@@ -56,6 +65,7 @@ impl SolverCounters {
             simplify_rewrites: self
                 .simplify_rewrites
                 .wrapping_sub(earlier.simplify_rewrites),
+            memo_hits: self.memo_hits.wrapping_sub(earlier.memo_hits),
         }
     }
 }
@@ -193,7 +203,7 @@ impl ConstraintSet {
             // must not mistake the empty list for satisfiability.
             SolveResult::Unsat
         } else {
-            Solver::new(self, limits).solve()
+            self.solve_sliced(limits)
         };
         if result == SolveResult::Unsat {
             bump(&UNSAT_RESULTS);
@@ -228,6 +238,107 @@ impl ConstraintSet {
         };
         !matches!(self.solve_with(limits), SolveResult::Unsat)
     }
+
+    /// Solves each independent component under `limits` and merges the
+    /// answers: any `Unsat` wins, then any `Unknown`, else the union of
+    /// the component models. Each component's model is the first
+    /// solution in the same MRV order the whole-set search would use, so
+    /// unless a budget is hit the merge equals the whole-set model.
+    fn solve_sliced(&self, limits: SolveLimits) -> SolveResult {
+        let (direct, shared) = slice(self.items());
+        let mut bytes = BTreeMap::new();
+        let mut unknown = false;
+        let results = std::iter::once(Solver::new(&direct, limits).solve())
+            .chain(shared.into_iter().map(|c| self.memo().solve(c, limits)));
+        for result in results {
+            match result {
+                SolveResult::Sat(model) => bytes.extend(model.bytes),
+                SolveResult::Unsat => return SolveResult::Unsat,
+                SolveResult::Unknown | SolveResult::Injected => unknown = true,
+            }
+        }
+        if unknown {
+            SolveResult::Unknown
+        } else {
+            SolveResult::Sat(Model::from_bytes(bytes))
+        }
+    }
+}
+
+/// Splits `items` into connected components by shared input bytes
+/// (union-find over [`Constraint::vars`]). Returns the constraints over
+/// at most one byte, which cost ≤ 256 evaluations each and are solved
+/// together directly, and each component over two or more bytes,
+/// ordered by first constraint. Both keep the set's order.
+fn slice(items: &[Constraint]) -> (Vec<Constraint>, Vec<Vec<Constraint>>) {
+    fn find(parent: &mut [usize], mut i: usize) -> usize {
+        while parent[i] != i {
+            parent[i] = parent[parent[i]];
+            i = parent[i];
+        }
+        i
+    }
+    let mut parent: Vec<usize> = (0..items.len()).collect();
+    // The first constraint referencing each byte.
+    let mut owner: HashMap<u32, usize> = HashMap::new();
+    for (i, c) in items.iter().enumerate() {
+        for v in c.vars() {
+            let o = *owner.entry(v).or_insert(i);
+            let (a, b) = (find(&mut parent, i), find(&mut parent, o));
+            parent[a.max(b)] = a.min(b);
+        }
+    }
+    // Distinct bytes per component root.
+    let mut width = vec![0usize; items.len()];
+    for &o in owner.values() {
+        width[find(&mut parent, o)] += 1;
+    }
+    let mut direct = Vec::new();
+    let mut shared: Vec<Vec<Constraint>> = Vec::new();
+    let mut slot = vec![usize::MAX; items.len()];
+    for (i, c) in items.iter().enumerate() {
+        let root = find(&mut parent, i);
+        if width[root] < 2 {
+            direct.push(c.clone());
+            continue;
+        }
+        if slot[root] == usize::MAX {
+            slot[root] = shared.len();
+            shared.push(Vec::new());
+        }
+        shared[slot[root]].push(c.clone());
+    }
+    (direct, shared)
+}
+
+/// Memo key: a component's constraints in order, plus the budgets.
+type MemoKey = (Vec<Constraint>, u64, u64);
+
+/// Component answers shared by a [`ConstraintSet`] and all its clones —
+/// in the directed engine, every fork, fallback state and branch probe
+/// of one run. Freed with the last set that holds it.
+#[derive(Clone, Default)]
+pub(crate) struct SolveMemo(Rc<RefCell<HashMap<MemoKey, SolveResult>>>);
+
+impl SolveMemo {
+    /// Solves one component, answering from the memo when this run has
+    /// already solved it under the same budgets.
+    fn solve(&self, items: Vec<Constraint>, limits: SolveLimits) -> SolveResult {
+        let key = (items, limits.max_nodes, limits.max_pair_work);
+        if let Some(hit) = self.0.borrow().get(&key) {
+            bump(&MEMO_HITS);
+            return hit.clone();
+        }
+        let result = Solver::new(&key.0, limits).solve();
+        self.0.borrow_mut().insert(key, result.clone());
+        result
+    }
+}
+
+impl fmt::Debug for SolveMemo {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "SolveMemo({} entries)", self.0.borrow().len())
+    }
 }
 
 struct Solver<'a> {
@@ -244,16 +355,20 @@ struct Solver<'a> {
 }
 
 impl<'a> Solver<'a> {
-    fn new(set: &'a ConstraintSet, limits: SolveLimits) -> Solver<'a> {
-        let vars: Vec<u32> = set.vars().into_iter().collect();
+    fn new(constraints: &'a [Constraint], limits: SolveLimits) -> Solver<'a> {
+        let vars: Vec<u32> = constraints
+            .iter()
+            .flat_map(Constraint::vars)
+            .collect::<BTreeSet<u32>>()
+            .into_iter()
+            .collect();
         let index: BTreeMap<u32, usize> = vars.iter().enumerate().map(|(i, &v)| (v, i)).collect();
-        let cvars = set
-            .items()
+        let cvars = constraints
             .iter()
             .map(|c| c.vars().into_iter().map(|v| index[&v]).collect())
             .collect();
         Solver {
-            constraints: set.items(),
+            constraints,
             domains: vec![ByteDomain::full(); vars.len()],
             vars,
             cvars,
@@ -483,8 +598,9 @@ impl<'a> Solver<'a> {
 mod tests {
     use super::*;
     use crate::constraint::Cond;
-    use crate::expr::Expr;
+    use crate::expr::{Expr, ExprRef};
     use octo_ir::BinOp;
+    use proptest::prelude::*;
 
     fn sat_model(set: &ConstraintSet) -> Model {
         match set.solve() {
@@ -747,5 +863,125 @@ mod tests {
             })
             .collect();
         assert_eq!(ends.len(), 1, "exactly one unsat solver exit");
+    }
+
+    #[test]
+    fn independent_bytes_split_into_components() {
+        let mut set = ConstraintSet::new();
+        let prod = Expr::bin(BinOp::Mul, Expr::byte(0), Expr::byte(1));
+        set.push(Constraint::new(prod, Expr::val(35), Cond::Eq));
+        set.assert_byte(7, 1);
+        set.push(Constraint::new(Expr::byte(8), Expr::val(9), Cond::Ult));
+        let word = Expr::bin(BinOp::Add, Expr::byte(5), Expr::byte(6));
+        set.push(Constraint::new(word, Expr::val(9), Cond::Ult));
+        let sum = Expr::bin(BinOp::Add, Expr::byte(1), Expr::byte(2));
+        set.push(Constraint::new(sum, Expr::val(9), Cond::Ult));
+        let (direct, shared) = slice(set.items());
+        let at = |cs: &[Constraint]| -> Vec<usize> {
+            cs.iter()
+                .map(|c| set.items().iter().position(|x| x == c).unwrap())
+                .collect()
+        };
+        assert_eq!(at(&direct), vec![1, 2], "bytes 7 and 8 stand alone");
+        let shared: Vec<Vec<usize>> = shared.iter().map(|c| at(c)).collect();
+        assert_eq!(shared, vec![vec![0, 4], vec![3]], "bytes 0-2 chain; 5-6");
+    }
+
+    #[test]
+    fn clones_share_the_memo_and_keep_untouched_components() {
+        // b0 * b1 == 35: a 2-byte component, so it goes into the memo.
+        let mut set = ConstraintSet::new();
+        let prod = Expr::bin(BinOp::Mul, Expr::byte(0), Expr::byte(1));
+        set.push(Constraint::new(prod, Expr::val(35), Cond::Eq));
+        let first = sat_model(&set);
+
+        let before = SolverCounters::snapshot();
+        let mut fork = set.clone();
+        fork.assert_byte(9, 0x41);
+        let second = sat_model(&fork);
+        let d = SolverCounters::snapshot().since(&before);
+        assert_eq!(d.memo_hits, 1, "the fork reuses the parent's answer: {d:?}");
+        assert_eq!(
+            (second.byte(0), second.byte(1)),
+            (first.byte(0), first.byte(1))
+        );
+        assert_eq!(second.byte(9), 0x41);
+        // A fresh set starts its own memo.
+        let mut fresh = ConstraintSet::new();
+        fresh.extend(set.items().iter().cloned());
+        let before = SolverCounters::snapshot();
+        sat_model(&fresh);
+        assert_eq!(SolverCounters::snapshot().since(&before).memo_hits, 0);
+        // The memo prints tersely, not its contents.
+        assert!(
+            format!("{set:?}").contains("SolveMemo(1 entries)"),
+            "{set:?}"
+        );
+    }
+
+    /// A small random expression over the bytes `base..base + width`.
+    fn arb_expr(base: u32, width: u32) -> BoxedStrategy<ExprRef> {
+        let leaf = prop_oneof![
+            (base..base + width).prop_map(Expr::byte),
+            (0u64..300).prop_map(Expr::val),
+        ];
+        leaf.prop_recursive(2, 8, 2, |inner| {
+            (
+                prop_oneof![
+                    Just(BinOp::Add),
+                    Just(BinOp::Sub),
+                    Just(BinOp::Mul),
+                    Just(BinOp::And),
+                    Just(BinOp::Or),
+                    Just(BinOp::Xor),
+                ],
+                inner.clone(),
+                inner,
+            )
+                .prop_map(|(op, a, b)| Expr::bin(op, a, b))
+        })
+        .boxed()
+    }
+
+    fn arb_cond() -> impl Strategy<Value = Cond> {
+        prop_oneof![
+            Just(Cond::Eq),
+            Just(Cond::Ne),
+            Just(Cond::Ult),
+            Just(Cond::Ule),
+            Just(Cond::Slt),
+            Just(Cond::Sle),
+        ]
+    }
+
+    /// Up to three constraints over the bytes `base..base + 2`.
+    fn arb_group(base: u32, min: usize) -> impl Strategy<Value = Vec<(ExprRef, Cond, u64)>> {
+        prop::collection::vec((arb_expr(base, 2), arb_cond(), 0u64..300), min..4)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Slicing is invisible: on sets over 4-6 bytes with at least two
+        /// components, whenever the whole-set engine reaches a verdict the
+        /// sliced solve returns the same verdict and the same model.
+        #[test]
+        fn sliced_solve_matches_the_whole_set_engine(
+            a in arb_group(0, 1),
+            b in arb_group(2, 1),
+            c in arb_group(4, 0),
+        ) {
+            let mut set = ConstraintSet::new();
+            for (lhs, cond, k) in a.into_iter().chain(b).chain(c) {
+                set.push(Constraint::new(lhs, Expr::val(k), cond));
+            }
+            prop_assume!(!set.is_trivially_false());
+            let (direct, shared) = slice(set.items());
+            let alone: BTreeSet<u32> = direct.iter().flat_map(Constraint::vars).collect();
+            prop_assume!(shared.len() + alone.len() >= 2);
+            let whole = Solver::new(set.items(), SolveLimits::default()).solve();
+            prop_assume!(whole != SolveResult::Unknown);
+            prop_assert_eq!(set.solve(), whole);
+        }
     }
 }

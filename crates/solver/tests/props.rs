@@ -33,6 +33,19 @@ fn arb_expr(vars: u32, depth: u32) -> BoxedStrategy<ExprRef> {
     .boxed()
 }
 
+/// `e` with every input byte moved `by` offsets up.
+fn shift_bytes(e: &ExprRef, by: u32) -> ExprRef {
+    match &**e {
+        Expr::Const(_) => e.clone(),
+        Expr::Byte(o) => Expr::byte(o + by),
+        Expr::Concat(parts) => std::rc::Rc::new(Expr::Concat(
+            parts.iter().map(|p| shift_bytes(p, by)).collect(),
+        )),
+        Expr::Bin(op, a, b) => Expr::bin(*op, shift_bytes(a, by), shift_bytes(b, by)),
+        Expr::Un(op, a) => Expr::un(*op, shift_bytes(a, by)),
+    }
+}
+
 fn arb_cond() -> impl Strategy<Value = Cond> {
     prop_oneof![
         Just(Cond::Eq),
@@ -84,6 +97,45 @@ proptest! {
         }
         match verdict {
             SolveResult::Sat(_) => prop_assert!(any, "solver said Sat but no witness exists"),
+            SolveResult::Unsat => prop_assert!(!any, "solver said Unsat but a witness exists"),
+            SolveResult::Unknown => {} // budget — no claim
+            SolveResult::Injected => prop_assert!(false, "no fault plan is installed"),
+        }
+    }
+
+    /// Two independent components over ≤ 2 bytes each: the solver's
+    /// Sat/Unsat matches exhaustive enumeration of both components
+    /// (2 × 65,536 assignments), and its models satisfy the whole set.
+    #[test]
+    fn sliced_verdicts_match_exhaustive_enumeration(
+        a in prop::collection::vec((arb_expr(2, 1), arb_cond(), 0u64..300), 1..3),
+        b in prop::collection::vec((arb_expr(2, 1), arb_cond(), 0u64..300), 1..3),
+    ) {
+        // `b` is written over bytes 0..2 and shifted to bytes 2..4.
+        let shift = |e: &ExprRef| shift_bytes(e, 2);
+        let (mut left, mut right, mut set) =
+            (ConstraintSet::new(), ConstraintSet::new(), ConstraintSet::new());
+        for (lhs, cond, k) in &a {
+            left.push(Constraint::new(lhs.clone(), Expr::val(*k), *cond));
+            set.push(Constraint::new(lhs.clone(), Expr::val(*k), *cond));
+        }
+        for (lhs, cond, k) in &b {
+            right.push(Constraint::new(shift(lhs), Expr::val(*k), *cond));
+            set.push(Constraint::new(shift(lhs), Expr::val(*k), *cond));
+        }
+        let witness = |part: &ConstraintSet, at: usize| {
+            (0..=u16::MAX).any(|v| {
+                let mut file = [0u8; 4];
+                file[at..at + 2].copy_from_slice(&v.to_le_bytes());
+                part.eval_file(&file)
+            })
+        };
+        let any = witness(&left, 0) && witness(&right, 2);
+        match set.solve() {
+            SolveResult::Sat(model) => {
+                prop_assert!(any, "solver said Sat but no witness exists");
+                prop_assert!(set.eval_file(&model.to_file(4)), "model does not satisfy set");
+            }
             SolveResult::Unsat => prop_assert!(!any, "solver said Unsat but a witness exists"),
             SolveResult::Unknown => {} // budget — no claim
             SolveResult::Injected => prop_assert!(false, "no fault plan is installed"),

@@ -194,8 +194,11 @@ fn store_rename_fault_leaves_orphan_temp_and_golden_verdicts() {
     let dir = std::env::temp_dir().join(format!("octopocs-chaos-store-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
 
-    // Job 0's first disk publish dies between temp write and rename.
-    let plan = Arc::new(FaultPlan::new(9).nth(FaultSite::StoreRename, Some(0), 1));
+    // Job 3's first disk publish dies between temp write and rename.
+    // Job 3 (Idx 4) is the only job with its prefix, so it always
+    // publishes it itself; job 0 shares its prefix with job 1, and
+    // whichever of the two claims it first is the one that publishes.
+    let plan = Arc::new(FaultPlan::new(9).nth(FaultSite::StoreRename, Some(3), 1));
     let options = BatchOptions {
         workers: 2,
         faults: Some(plan),

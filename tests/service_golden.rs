@@ -464,9 +464,12 @@ fn http_plane_serves_metrics_jobs_and_timelines() {
         "{body}"
     );
 
-    // /jobs/1: the full timeline — queue wait, at least one attempt,
-    // the prepare phase span, strictly monotonic step timestamps.
-    let (status, body) = get("/jobs/1");
+    // /jobs/3: the full timeline — queue wait, at least one attempt,
+    // the prepare phase span, strictly monotonic step timestamps. Job 3
+    // (Idx 3) is the only job with its prefix, so it always runs
+    // `prepare` itself; job 1 shares its prefix with job 2, and only
+    // whichever of the two claims it first runs `prepare`.
+    let (status, body) = get("/jobs/3");
     assert_eq!(status, 200);
     let timeline = octo_codec::parse_json(&body).expect("timeline parses");
     assert!(
@@ -529,8 +532,24 @@ fn http_plane_serves_metrics_jobs_and_timelines() {
     assert_eq!(status, 200);
     assert!(body.contains("\"windows\":["), "{body}");
 
-    // `octopocs top` consumes the same windows end to end. The corpus
-    // run above took well over a sampling interval, so windows exist.
+    // `octopocs top` consumes the same windows end to end. A window
+    // needs two samples, and the daemon samples once a second, which
+    // the corpus run above may undercut: wait for the first window.
+    let has_window = || {
+        let (_, body) = get("/metrics/rates");
+        let doc = octo_codec::parse_json(&body).expect("rates body parses");
+        doc.get("windows")
+            .and_then(|w| w.as_array())
+            .is_some_and(|w| !w.is_empty())
+    };
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    while !has_window() {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "no rate window after 10 s"
+        );
+        std::thread::sleep(Duration::from_millis(50));
+    }
     let top = Command::new(bin_path("octopocs"))
         .args(["top", "--http", &addr, "--json"])
         .output()

@@ -132,3 +132,23 @@ fn original_poc_already_works_on_type_i_targets() {
         );
     }
 }
+
+#[test]
+fn reformed_poc_bytes_match_the_golden_file() {
+    // The verdict goldens pin labels only; this pins every generated
+    // `poc'` byte, so a solver change that picks a different model for
+    // any triggered row shows up here.
+    let golden = include_str!("golden/poc_prime.txt");
+    let mut lines = String::new();
+    for pair in all_pairs() {
+        if let Some(poc_prime) = verify_pair(&pair).poc_prime() {
+            let hex: String = poc_prime
+                .bytes()
+                .iter()
+                .map(|b| format!("{b:02x}"))
+                .collect();
+            lines.push_str(&format!("idx{:02} {hex}\n", pair.idx));
+        }
+    }
+    assert_eq!(lines, golden, "reformed PoC bytes drifted from the golden");
+}
