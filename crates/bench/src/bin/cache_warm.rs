@@ -13,9 +13,9 @@
 //! the current directory) and prints them as a table. The acceptance
 //! target is warm strictly faster than cold — CI asserts it.
 
-use octo_bench::{corpus_jobs, render_table, CacheWarmRow};
+use octo_bench::{render_table, CacheWarmRow};
 use octo_sched::NullSink;
-use octopocs::batch::{run_batch, BatchJob, BatchOptions};
+use octopocs::batch::{corpus_jobs, run_batch, BatchJob, BatchOptions};
 use octopocs::PipelineConfig;
 
 const ITERATIONS: usize = 3;

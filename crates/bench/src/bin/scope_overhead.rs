@@ -20,11 +20,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use octo_bench::{corpus_jobs, interleaved, render_table, ScopeOverheadRow};
+use octo_bench::{interleaved, render_table, ScopeOverheadRow};
 use octo_obs::RateRecorder;
 use octo_sched::CancelToken;
 use octo_serve::{Daemon, Priority};
-use octopocs::batch::{BatchJob, BatchOptions};
+use octopocs::batch::{corpus_jobs, BatchJob, BatchOptions};
 use octopocs::{batch_job_to_spec, PipelineConfig, ServeExecutor};
 
 const WORKERS: usize = 4;

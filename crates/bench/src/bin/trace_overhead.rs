@@ -16,9 +16,9 @@
 
 use std::sync::Arc;
 
-use octo_bench::{corpus_jobs, interleaved, render_table, TraceOverheadRow};
+use octo_bench::{interleaved, render_table, TraceOverheadRow};
 use octo_sched::NullSink;
-use octopocs::batch::{run_batch, BatchJob, BatchOptions};
+use octopocs::batch::{corpus_jobs, run_batch, BatchJob, BatchOptions};
 use octopocs::{FlightRecorder, PipelineConfig};
 
 const WORKERS: usize = 4;

@@ -22,22 +22,6 @@ pub mod rows;
 pub use render::render_table;
 pub use rows::*;
 
-use octopocs::batch::BatchJob;
-
-/// The 15 Table II pairs as batch jobs, in corpus order.
-pub fn corpus_jobs() -> Vec<BatchJob> {
-    octo_corpus::all_pairs()
-        .into_iter()
-        .map(|p| BatchJob {
-            name: p.display_name(),
-            s: p.s,
-            t: p.t,
-            poc: p.poc,
-            shared: p.shared,
-        })
-        .collect()
-}
-
 /// Corpus wall time each mode of an overhead bench must cover. One
 /// ~0.15 s corpus pass cannot resolve a 3% budget: on a shared 2-core
 /// machine, an A/A run of [`interleaved`] read ±4–6% at 2 s per mode

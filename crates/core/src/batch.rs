@@ -37,6 +37,7 @@ use octo_sched::{
     run_jobs, ArtifactCache, CacheStats, CancelToken, Event, EventClock, EventKind, EventSink,
     SchedStats, Watchdog, WatchdogConfig,
 };
+use octo_serve::VerdictSummary;
 use octo_store::{BlobStore, StoreStats};
 use octo_trace::{FlightRecorder, TraceKind};
 
@@ -62,6 +63,20 @@ pub struct BatchJob {
     pub poc: PocFile,
     /// Names of the shared (cloned) functions.
     pub shared: Vec<String>,
+}
+
+/// The 15 Table II pairs as batch jobs, in corpus order.
+pub fn corpus_jobs() -> Vec<BatchJob> {
+    octo_corpus::all_pairs()
+        .into_iter()
+        .map(|p| BatchJob {
+            name: p.display_name(),
+            s: p.s,
+            t: p.t,
+            poc: p.poc,
+            shared: p.shared,
+        })
+        .collect()
 }
 
 /// Knobs for one batch run.
@@ -169,6 +184,20 @@ pub struct BatchEntry {
     /// The full verification report (`wall_seconds` covers the whole job
     /// as this batch executed it, cached prefix included).
     pub report: VerificationReport,
+}
+
+impl BatchEntry {
+    /// The entry's stable verdict row: what the verdicts document and
+    /// the daemon's journal record.
+    pub(crate) fn summary(&self) -> VerdictSummary {
+        VerdictSummary {
+            verdict: self.report.verdict.type_label().to_string(),
+            poc_generated: self.report.verdict.poc_generated(),
+            verified: self.report.verdict.verified(),
+            attempts: self.report.attempts,
+            quarantined: self.quarantined,
+        }
+    }
 }
 
 /// Everything a batch run produced.
@@ -355,23 +384,31 @@ impl BatchReport {
     /// plan and retry policy, never on wall time). This is what the CI
     /// golden files diff against.
     pub fn render_verdicts_json(&self) -> String {
-        let mut out = String::from("{\"jobs\":[\n");
-        for (i, e) in self.entries.iter().enumerate() {
-            out.push_str(&format!(
-                "{{\"name\":\"{}\",\"verdict\":\"{}\",\"poc_generated\":{},\"verified\":{},\
-                 \"attempts\":{},\"quarantined\":{}}}{}\n",
-                json_escape(&e.name),
-                e.report.verdict.type_label(),
-                e.report.verdict.poc_generated(),
-                e.report.verdict.verified(),
-                e.report.attempts,
-                e.quarantined,
-                if i + 1 == self.entries.len() { "" } else { "," }
-            ));
-        }
-        out.push_str("]}\n");
-        out
+        let rows: Vec<(&str, VerdictSummary)> = self
+            .entries
+            .iter()
+            .map(|e| (e.name.as_str(), e.summary()))
+            .collect();
+        render_verdict_rows(&rows)
     }
+}
+
+/// The stable verdicts document (`--verdicts-json`, the CI goldens):
+/// one `{"name":…,<summary fields>}` row per `(name, summary)`, in the
+/// given order. `octopocs batch`, `octopocs scan` and the daemon's
+/// `octopocs results` all print it through here.
+pub fn render_verdict_rows(rows: &[(&str, VerdictSummary)]) -> String {
+    let mut out = String::from("{\"jobs\":[\n");
+    for (i, (name, summary)) in rows.iter().enumerate() {
+        out.push_str(&format!(
+            "{{\"name\":\"{}\",{}}}{}\n",
+            json_escape(name),
+            summary.render_fields(),
+            if i + 1 == rows.len() { "" } else { "," }
+        ));
+    }
+    out.push_str("]}\n");
+    out
 }
 
 /// Size estimate for one cached prefix artifact.

@@ -9,15 +9,17 @@
 //!          [--min-insts N] [--json]
 //! octopocs scan (--corpus | --s S.mir --poc poc.bin --target T.mir...)
 //!          [--threshold X] [--top-k N] [--workers N] [--deadline-secs S]
-//!          [--json | --verdicts-json] [--candidates-json PATH] [--events]
-//!          [--metrics-json PATH] [--metrics-prom PATH]
+//!          [--cache-dir DIR] [--json | --verdicts-json] [--candidates-json PATH]
+//!          [--events] [--metrics-json PATH] [--metrics-prom PATH]
 //! octopocs batch (--corpus | --jobs FILE) [--workers N] [--deadline-secs S]
-//!          [--json | --verdicts-json] [--events] [--metrics-json PATH]
-//!          [--metrics-prom PATH] [--trace-chrome PATH] [--trace-jsonl PATH]
-//!          [--post-mortem] [--theta N]
+//!          [--cache-dir DIR] [--json | --verdicts-json] [--events]
+//!          [--metrics-json PATH] [--metrics-prom PATH] [--trace-chrome PATH]
+//!          [--trace-jsonl PATH] [--post-mortem] [--theta N]
 //!          [--accelerate-loops] [--static-cfg] [--context-free] [--prescreen]
 //!          [--fault-plan FILE] [--retry N] [--retry-backoff-ms MS]
 //!          [--watchdog-quiet-secs S]
+//! octopocs cache (stats | verify | gc) --cache-dir DIR [--json]
+//!          [--keep-generations N] [--max-age-secs S]
 //! octopocs submit (--corpus | --s S.mir --t T.mir --poc poc.bin --shared f1,f2
 //!          | --scan --s S.mir --poc poc.bin --target T.mir...)
 //!          [--priority interactive|bulk] [--socket PATH | --tcp ADDR]
@@ -68,7 +70,9 @@
 //! `--trace-jsonl` writes the same events as JSON lines. `--post-mortem`
 //! prints, for every not-triggerable or deadline verdict, why the
 //! directed engine gave up (deciding event, `ep` entry count at death,
-//! dying state's constraints, flight-record tail).
+//! dying state's constraints, flight-record tail). `--cache-dir DIR`
+//! (also on `scan`) backs the prefix cache with a disk blob store, so a
+//! second run starts warm (see `docs/caching.md`).
 //!
 //! Robustness knobs (see `docs/robustness.md`): `--fault-plan FILE`
 //! loads a deterministic fault-injection plan (JSON; seed + per-site
@@ -83,6 +87,12 @@
 //! report — metrics files included — is still written; a second signal
 //! force-exits).
 //!
+//! The `cache` subcommand maintains a `--cache-dir` offline: `stats`
+//! counts its entries, `verify` re-checks every blob's frame and
+//! checksum (exit 1 when any is corrupt), and `gc` prunes by generation
+//! (`--keep-generations`) or age (`--max-age-secs`) and sweeps orphan
+//! temp files.
+//!
 //! The `submit`, `status`, `watch`, `results`, and `drain` subcommands
 //! are clients of a running `octopocsd` daemon (see `docs/service.md`):
 //! `submit` admits jobs — the 15-pair corpus, one explicit pair, or a
@@ -96,33 +106,27 @@
 //! emits the same stable document as `octopocs batch --verdicts-json`);
 //! `drain` asks the daemon to finish queued work and exit
 //! (`--shutdown` cancels in-flight jobs instead, leaving them for
-//! journal replay).
+//! journal replay). `top` prints windowed throughput from the daemon's
+//! HTTP plane (`octopocsd --http`).
+//!
+//! Every flag group and input loader lives in `octopocs::cli`.
 
+use std::path::PathBuf;
 use std::process::ExitCode;
 
+use octo_clone::CloneParams;
 use octo_ir::parse::parse_program;
-use octo_poc::PocFile;
-use octo_serve::{Client, Endpoint, Priority as ServePriority, Request, Response};
+use octo_sched::{EventSink, NullSink};
+use octo_serve::{Client, Priority as ServePriority, Request, Response};
 use octopocs::batch::{run_batch, BatchJob, BatchOptions};
+use octopocs::cli::{self, Cursor, EndpointArgs};
 use octopocs::{verify, PipelineConfig, SoftwarePairInput, Verdict};
 
-struct Args {
-    s_path: String,
-    t_path: String,
-    poc_path: String,
-    shared: Vec<String>,
-    out: Option<String>,
-    minimize: bool,
-    theta: Option<u32>,
-    accelerate_loops: bool,
-    static_cfg: bool,
-    context_free: bool,
-    prescreen: bool,
-    json: bool,
-}
+/// How a subcommand ends: `Ok` with its own exit code, or `Err` with
+/// the exit code of an error it has already printed, so `?` ends it.
+type Exit = Result<ExitCode, ExitCode>;
 
-fn usage() -> String {
-    "usage: octopocs --s S.mir --t T.mir --poc poc.bin --shared f1,f2 \
+const USAGE: &str = "usage: octopocs --s S.mir --t T.mir --poc poc.bin --shared f1,f2 \
      [--out poc_prime.bin] [--minimize] [--theta N] [--accelerate-loops] \
      [--static-cfg] [--context-free] [--prescreen] [--json]\n       \
      octopocs lint program.mir [--format human|json] [--canonical]\n       \
@@ -148,143 +152,141 @@ fn usage() -> String {
      octopocs watch --id N [--socket PATH | --tcp ADDR]\n       \
      octopocs results [--wait] [--verdicts-json] [--socket PATH | --tcp ADDR]\n       \
      octopocs drain [--shutdown] [--socket PATH | --tcp ADDR]\n       \
-     octopocs top --http ADDR [--windows N] [--json]"
-        .to_string()
+     octopocs top --http ADDR [--windows N] [--json]";
+
+/// Ends a subcommand in a usage error.
+fn usage_error<T>(msg: &str) -> Result<T, ExitCode> {
+    Err(cli::usage_error(msg, USAGE))
 }
 
-fn parse_args(argv: &[String]) -> Result<Args, String> {
-    let mut args = Args {
-        s_path: String::new(),
-        t_path: String::new(),
-        poc_path: String::new(),
-        shared: Vec::new(),
-        out: None,
-        minimize: false,
-        theta: None,
-        accelerate_loops: false,
-        static_cfg: false,
-        context_free: false,
-        prescreen: false,
-        json: false,
-    };
-    let mut it = argv.iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("missing value for {name}"))
-        };
-        match flag.as_str() {
-            "--s" => args.s_path = value("--s")?,
-            "--t" => args.t_path = value("--t")?,
-            "--poc" => args.poc_path = value("--poc")?,
-            "--shared" => {
-                args.shared = value("--shared")?
-                    .split(',')
-                    .map(|s| s.trim().to_string())
-                    .filter(|s| !s.is_empty())
-                    .collect()
-            }
-            "--out" => args.out = Some(value("--out")?),
-            "--theta" => {
-                args.theta = Some(
-                    value("--theta")?
-                        .parse()
-                        .map_err(|e| format!("bad --theta: {e}"))?,
-                )
-            }
-            "--minimize" => args.minimize = true,
-            "--accelerate-loops" => args.accelerate_loops = true,
-            "--static-cfg" => args.static_cfg = true,
-            "--context-free" => args.context_free = true,
-            "--prescreen" => args.prescreen = true,
-            "--json" => args.json = true,
-            "--help" | "-h" => return Err(usage()),
-            other => return Err(format!("unknown flag `{other}`\n{}", usage())),
+/// Single-pair mode: verify one `(S, PoC, T, ℓ)`.
+fn single_main(argv: &[String]) -> Exit {
+    let (mut s_path, mut t_path, mut poc_path) = (String::new(), String::new(), String::new());
+    let mut shared = Vec::new();
+    let mut out: Option<String> = None;
+    let (mut minimize, mut json) = (false, false);
+    let mut config = PipelineConfig::default();
+    cli::parse_flags(argv, "flag", USAGE, |flag, cur| {
+        match flag {
+            "--s" => s_path = cur.value(flag)?,
+            "--t" => t_path = cur.value(flag)?,
+            "--poc" => poc_path = cur.value(flag)?,
+            "--shared" => shared = cli::split_shared(&cur.value(flag)?),
+            "--out" => out = Some(cur.value(flag)?),
+            "--minimize" => minimize = true,
+            "--json" => json = true,
+            _ => return cli::engine_flags(flag, cur, &mut config),
         }
-    }
-    if args.s_path.is_empty() || args.t_path.is_empty() || args.poc_path.is_empty() {
-        return Err(format!("--s, --t and --poc are required\n{}", usage()));
-    }
-    if args.shared.is_empty() {
-        return Err(format!(
-            "--shared must list at least one function\n{}",
-            usage()
-        ));
-    }
-    Ok(args)
-}
-
-fn load_program(path: &str) -> Result<octo_ir::Program, String> {
-    let src = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    let p = parse_program(&src).map_err(|e| format!("{path}: {e}"))?;
-    octo_ir::validate::validate(&p).map_err(|es| {
-        format!(
-            "{path}: {}",
-            es.first().map(ToString::to_string).unwrap_or_default()
-        )
+        Ok(true)
     })?;
-    Ok(p)
+    if s_path.is_empty() || t_path.is_empty() || poc_path.is_empty() {
+        return usage_error("--s, --t and --poc are required");
+    }
+    if shared.is_empty() {
+        return usage_error("--shared must list at least one function");
+    }
+    let (s, t, poc) = cli::load_pair(&s_path, &t_path, &poc_path).map_err(cli::error)?;
+
+    let input = SoftwarePairInput {
+        s: &s,
+        t: &t,
+        poc: &poc,
+        shared: &shared,
+    };
+    let report = verify(&input, &config);
+
+    if json {
+        // Hand-rolled JSON keeps the core crate dependency-free.
+        println!(
+            "{{\"verdict\":\"{}\",\"poc_generated\":{},\"verified\":{},\"ep\":\"{}\",\
+             \"ep_entries\":{},\"prescreen\":{},\"wall_seconds\":{:.6}}}",
+            report.verdict.type_label(),
+            report.verdict.poc_generated(),
+            report.verdict.verified(),
+            report.ep_name.as_deref().unwrap_or(""),
+            report.ep_entries,
+            report.prescreen,
+            report.wall_seconds,
+        );
+    } else {
+        println!("verdict    : {}", report.verdict);
+        if let Some(ep) = &report.ep_name {
+            println!("ep         : {ep} ({} entries in S)", report.ep_entries);
+        }
+        if report.prescreen {
+            println!("prescreen  : verdict decided statically in P0");
+        }
+        println!("time       : {:.3}s", report.wall_seconds);
+    }
+
+    match &report.verdict {
+        Verdict::Triggered { poc_prime, .. } => {
+            let poc_prime = if minimize {
+                let shared_ids = t.resolve_names(shared.iter().map(String::as_str));
+                let (min, stats) =
+                    octopocs::minimize_poc(&t, poc_prime, &shared_ids, octo_vm::Limits::default());
+                if !json {
+                    println!(
+                        "minimized  : {} -> {} bytes ({} zeroed, {} execs)",
+                        stats.len_before, stats.len_after, stats.bytes_zeroed, stats.execs
+                    );
+                }
+                min
+            } else {
+                poc_prime.clone()
+            };
+            write_file(&out, || poc_prime.bytes())?;
+            match &out {
+                Some(out) if !json => println!("poc' written to {out} ({} bytes)", poc_prime.len()),
+                None if !json => println!("poc' hexdump:\n{}", poc_prime.hexdump()),
+                _ => {}
+            }
+            Ok(ExitCode::SUCCESS)
+        }
+        Verdict::NotTriggerable { .. } => Ok(ExitCode::from(1)),
+        Verdict::Failure { .. } => Ok(ExitCode::from(2)),
+    }
 }
 
 /// The `octopocs lint` subcommand: static analysis of one program.
-fn lint_main(argv: &[String]) -> ExitCode {
+fn lint_main(argv: &[String]) -> Exit {
     let mut path: Option<&str> = None;
     let mut json = false;
     let mut canonical = false;
-    let mut it = argv.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
+    cli::parse_flags(argv, "lint argument", USAGE, |flag, cur| {
+        match flag {
             "--canonical" => canonical = true,
-            "--format" => match it.next().map(String::as_str) {
+            "--format" => match cur.next_arg() {
                 Some("json") => json = true,
                 Some("human") => json = false,
                 other => {
-                    eprintln!(
+                    return Err(format!(
                         "bad --format `{}` (expected human|json)",
                         other.unwrap_or("")
-                    );
-                    return ExitCode::from(3);
+                    ))
                 }
             },
-            "--help" | "-h" => {
-                eprintln!("{}", usage());
-                return ExitCode::from(3);
-            }
-            other if !other.starts_with('-') && path.is_none() => path = Some(other),
-            other => {
-                eprintln!("unknown lint argument `{other}`\n{}", usage());
-                return ExitCode::from(3);
-            }
+            _ if !flag.starts_with('-') && path.is_none() => path = Some(flag),
+            _ => return Ok(false),
         }
-    }
+        Ok(true)
+    })?;
     let Some(path) = path else {
-        eprintln!("lint: a program file is required\n{}", usage());
-        return ExitCode::from(3);
+        return usage_error("lint: a program file is required");
     };
     // Parse only — structural validation is the lint's own VAL001 rule,
     // so invalid programs are reported, not rejected.
-    let src = match std::fs::read_to_string(path) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: {path}: {e}");
-            return ExitCode::from(3);
-        }
-    };
-    let program = match parse_program(&src) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("error: {path}: {e}");
-            return ExitCode::from(3);
-        }
-    };
+    let program = std::fs::read_to_string(path)
+        .map_err(|e| e.to_string())
+        .and_then(|src| parse_program(&src).map_err(|e| e.to_string()))
+        .map_err(|e| cli::error([format!("{path}: {e}")]))?;
     if canonical {
         // Canonicalization mode: print the normal form (entry-first DFS
         // block order, dense register/label renumbering) instead of the
         // diagnostics. `parse(print_canonical(p))` is a fixed point, so
         // the output is diffable across renamed/reordered variants.
         print!("{}", octo_ir::printer::print_program_canonical(&program));
-        return ExitCode::SUCCESS;
+        return Ok(ExitCode::SUCCESS);
     }
     let report = octo_lint::lint_program(&program);
     if json {
@@ -293,106 +295,42 @@ fn lint_main(argv: &[String]) -> ExitCode {
         print!("{}", report.render_human());
     }
     if report.error_count() > 0 {
-        ExitCode::from(1)
+        Ok(ExitCode::from(1))
     } else {
-        ExitCode::SUCCESS
+        Ok(ExitCode::SUCCESS)
     }
-}
-
-/// Parses the retrieval knobs shared by `clone` and `scan`.
-fn parse_clone_params(
-    flag: &str,
-    value: &mut dyn FnMut(&str) -> Result<String, String>,
-    params: &mut octo_clone::CloneParams,
-) -> Result<bool, String> {
-    match flag {
-        "--threshold" => {
-            params.threshold = value("--threshold")?
-                .parse()
-                .map_err(|e| format!("bad --threshold: {e}"))?;
-            if !(0.0..=1.0).contains(&params.threshold) {
-                return Err("--threshold must be in [0, 1]".to_string());
-            }
-        }
-        "--top-k" => {
-            params.top_k = value("--top-k")?
-                .parse()
-                .map_err(|e| format!("bad --top-k: {e}"))?;
-            if params.top_k == 0 {
-                return Err("--top-k must be at least 1".to_string());
-            }
-        }
-        "--min-insts" => {
-            params.min_insts = value("--min-insts")?
-                .parse()
-                .map_err(|e| format!("bad --min-insts: {e}"))?;
-        }
-        _ => return Ok(false),
-    }
-    Ok(true)
 }
 
 /// The `octopocs clone` subcommand: retrieve clone candidates between
 /// two programs (no verification). Exit 0 = at least one candidate,
 /// 1 = none, 3 = usage or input error.
-fn clone_main(argv: &[String]) -> ExitCode {
-    let mut s_path = String::new();
-    let mut t_path = String::new();
-    let mut params = octo_clone::CloneParams::default();
+fn clone_main(argv: &[String]) -> Exit {
+    let (mut s_path, mut t_path) = (String::new(), String::new());
+    let mut params = CloneParams::default();
     let mut json = false;
-    let mut it = argv.iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| -> Result<String, String> {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("missing value for {name}"))
-        };
-        let result: Result<(), String> = (|| {
-            match flag.as_str() {
-                "--s" => s_path = value("--s")?,
-                "--t" => t_path = value("--t")?,
-                "--json" => json = true,
-                "--help" | "-h" => return Err(String::new()),
-                other => {
-                    if !parse_clone_params(other, &mut value, &mut params)? {
-                        return Err(format!("unknown clone flag `{other}`"));
-                    }
-                }
-            }
-            Ok(())
-        })();
-        if let Err(msg) = result {
-            if msg.is_empty() {
-                eprintln!("{}", usage());
-            } else {
-                eprintln!("{msg}\n{}", usage());
-            }
-            return ExitCode::from(3);
+    cli::parse_flags(argv, "clone flag", USAGE, |flag, cur| {
+        match flag {
+            "--s" => s_path = cur.value(flag)?,
+            "--t" => t_path = cur.value(flag)?,
+            "--json" => json = true,
+            _ => return cli::clone_flags(flag, cur, &mut params),
         }
-    }
+        Ok(true)
+    })?;
     if s_path.is_empty() || t_path.is_empty() {
-        eprintln!("clone: --s and --t are required\n{}", usage());
-        return ExitCode::from(3);
+        return usage_error("clone: --s and --t are required");
     }
-    let (s, t) = match (load_program(&s_path), load_program(&t_path)) {
+    let (s, t) = match (cli::load_program(&s_path), cli::load_program(&t_path)) {
         (Ok(s), Ok(t)) => (s, t),
-        (s, t) => {
-            for msg in [s.err(), t.err()].into_iter().flatten() {
-                eprintln!("error: {msg}");
-            }
-            return ExitCode::from(3);
-        }
+        (s, t) => return Err(cli::error([s.err(), t.err()].into_iter().flatten())),
     };
     let expansion = octopocs::expand_scan(
         &[octopocs::ScanSource {
-            name: s_path.clone(),
+            name: s_path,
             s,
-            poc: PocFile::new(Vec::new()),
+            poc: octo_poc::PocFile::new(Vec::new()),
         }],
-        &[octopocs::ScanTarget {
-            name: t_path.clone(),
-            t,
-        }],
+        &[octopocs::ScanTarget { name: t_path, t }],
         &params,
     );
     if json {
@@ -401,365 +339,171 @@ fn clone_main(argv: &[String]) -> ExitCode {
         print!("{}", expansion.render_candidates_human());
     }
     if expansion.candidate_count() > 0 {
-        ExitCode::SUCCESS
+        Ok(ExitCode::SUCCESS)
     } else {
-        ExitCode::from(1)
+        Ok(ExitCode::from(1))
     }
+}
+
+/// The report flags `scan` and `batch` share.
+#[derive(Default)]
+struct ReportFlags {
+    json: bool,
+    verdicts_json: bool,
+    events: bool,
+    metrics_json: Option<String>,
+    metrics_prom: Option<String>,
+}
+
+impl ReportFlags {
+    fn flag(&mut self, flag: &str, cur: &mut Cursor) -> Result<bool, String> {
+        match flag {
+            "--json" => self.json = true,
+            "--verdicts-json" => self.verdicts_json = true,
+            "--events" => self.events = true,
+            "--metrics-json" => self.metrics_json = Some(cur.value(flag)?),
+            "--metrics-prom" => self.metrics_prom = Some(cur.value(flag)?),
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
+
+    /// Both JSON modes claim stdout.
+    fn check(&self) -> Result<(), ExitCode> {
+        if self.json && self.verdicts_json {
+            return usage_error("--json and --verdicts-json are mutually exclusive");
+        }
+        Ok(())
+    }
+
+    /// Progress events go to stderr with `--events`, nowhere otherwise.
+    fn sink(&self) -> &'static dyn EventSink {
+        if self.events {
+            &print_event
+        } else {
+            &NullSink
+        }
+    }
+}
+
+fn print_event(event: octo_sched::Event) {
+    eprintln!("{}", event.render_human());
+}
+
+/// Renders and writes `content` when `path` was given; an unwritable
+/// path is exit 3.
+fn write_file<C: AsRef<[u8]>>(
+    path: &Option<String>,
+    content: impl FnOnce() -> C,
+) -> Result<(), ExitCode> {
+    let Some(path) = path else {
+        return Ok(());
+    };
+    std::fs::write(path, content()).map_err(|e| {
+        eprintln!("error writing {path}: {e}");
+        ExitCode::from(3)
+    })
 }
 
 /// The `octopocs scan` subcommand: discover ℓ per target and verify
 /// every discovered pair on the batch scheduler. Exit 0 = the scan ran,
 /// 3 = usage or input error.
-fn scan_main(argv: &[String]) -> ExitCode {
+fn scan_main(argv: &[String]) -> Exit {
     let mut corpus = false;
-    let mut s_path = String::new();
-    let mut poc_path = String::new();
+    let (mut s_path, mut poc_path) = (String::new(), String::new());
     let mut target_paths: Vec<String> = Vec::new();
-    let mut params = octo_clone::CloneParams::default();
-    let mut options = BatchOptions::default();
-    let config = PipelineConfig::default();
-    let mut json = false;
-    let mut verdicts_json = false;
     let mut candidates_json: Option<String> = None;
-    let mut events = false;
-    let mut metrics_json: Option<String> = None;
-    let mut metrics_prom: Option<String> = None;
-    let mut it = argv.iter();
-    let parse_error = |msg: String| {
-        if msg.is_empty() {
-            eprintln!("{}", usage());
-        } else {
-            eprintln!("{msg}\n{}", usage());
-        }
-        ExitCode::from(3)
-    };
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| -> Result<String, String> {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("missing value for {name}"))
-        };
-        let result: Result<(), String> = (|| {
-            match flag.as_str() {
-                "--corpus" => corpus = true,
-                "--s" => s_path = value("--s")?,
-                "--poc" => poc_path = value("--poc")?,
-                "--target" => target_paths.push(value("--target")?),
-                "--workers" => {
-                    options.workers = value("--workers")?
-                        .parse()
-                        .map_err(|e| format!("bad --workers: {e}"))?;
-                    if options.workers == 0 {
-                        return Err("--workers must be at least 1".to_string());
-                    }
-                }
-                "--deadline-secs" => {
-                    let secs: f64 = value("--deadline-secs")?
-                        .parse()
-                        .map_err(|e| format!("bad --deadline-secs: {e}"))?;
-                    if !secs.is_finite() || secs <= 0.0 {
-                        return Err("--deadline-secs must be positive".to_string());
-                    }
-                    options.deadline = Some(std::time::Duration::from_secs_f64(secs));
-                }
-                "--cache-dir" => {
-                    options.cache_dir = Some(std::path::PathBuf::from(value("--cache-dir")?))
-                }
-                "--json" => json = true,
-                "--verdicts-json" => verdicts_json = true,
-                "--candidates-json" => candidates_json = Some(value("--candidates-json")?),
-                "--events" => events = true,
-                "--metrics-json" => metrics_json = Some(value("--metrics-json")?),
-                "--metrics-prom" => metrics_prom = Some(value("--metrics-prom")?),
-                "--help" | "-h" => return Err(String::new()),
-                other => {
-                    if !parse_clone_params(other, &mut value, &mut params)? {
-                        return Err(format!("unknown scan flag `{other}`"));
-                    }
-                }
+    let mut params = CloneParams::default();
+    let mut options = BatchOptions::default();
+    let mut out = ReportFlags::default();
+    cli::parse_flags(argv, "scan flag", USAGE, |flag, cur| {
+        match flag {
+            "--corpus" => corpus = true,
+            "--s" => s_path = cur.value(flag)?,
+            "--poc" => poc_path = cur.value(flag)?,
+            "--target" => target_paths.push(cur.value(flag)?),
+            "--candidates-json" => candidates_json = Some(cur.value(flag)?),
+            _ => {
+                return Ok(out.flag(flag, cur)?
+                    || cli::run_flags(flag, cur, &mut options)?
+                    || cli::clone_flags(flag, cur, &mut params)?)
             }
-            Ok(())
-        })();
-        if let Err(msg) = result {
-            return parse_error(msg);
         }
-    }
+        Ok(true)
+    })?;
     if corpus == (!s_path.is_empty() || !target_paths.is_empty()) {
-        return parse_error(
-            "exactly one of --corpus or (--s/--poc/--target...) is required".to_string(),
-        );
+        return usage_error("exactly one of --corpus or (--s/--poc/--target...) is required");
     }
-    if json && verdicts_json {
-        return parse_error("--json and --verdicts-json are mutually exclusive".to_string());
-    }
+    out.check()?;
     let (sources, targets) = if corpus {
         octopocs::corpus_scan_inputs()
     } else {
         if s_path.is_empty() || poc_path.is_empty() || target_paths.is_empty() {
-            return parse_error("scan needs --s, --poc and at least one --target".to_string());
+            return usage_error("scan needs --s, --poc and at least one --target");
         }
-        let s = match load_program(&s_path) {
-            Ok(p) => p,
-            Err(msg) => {
-                eprintln!("error: {msg}");
-                return ExitCode::from(3);
-            }
-        };
-        let poc_bytes = match std::fs::read(&poc_path) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("error: {poc_path}: {e}");
-                return ExitCode::from(3);
-            }
-        };
-        let mut targets = Vec::new();
-        for path in &target_paths {
-            match load_program(path) {
-                Ok(t) => targets.push(octopocs::ScanTarget {
-                    name: path.clone(),
-                    t,
-                }),
-                Err(msg) => {
-                    eprintln!("error: {msg}");
-                    return ExitCode::from(3);
-                }
-            }
-        }
-        (
-            vec![octopocs::ScanSource {
-                name: s_path.clone(),
-                s,
-                poc: PocFile::new(poc_bytes),
-            }],
-            targets,
-        )
+        cli::load_scan_inputs(&s_path, &poc_path, &target_paths).map_err(|e| cli::error([e]))?
     };
 
-    let stderr_sink = |event: octo_sched::Event| eprintln!("{}", event.render_human());
-    let report = if events {
-        octopocs::run_scan(&sources, &targets, &params, &config, &options, &stderr_sink)
-    } else {
-        octopocs::run_scan(
-            &sources,
-            &targets,
-            &params,
-            &config,
-            &options,
-            &octo_sched::NullSink,
-        )
-    };
+    let report = octopocs::run_scan(
+        &sources,
+        &targets,
+        &params,
+        &PipelineConfig::default(),
+        &options,
+        out.sink(),
+    );
+    write_file(&candidates_json, || {
+        report.expansion.render_candidates_json()
+    })?;
+    write_file(&out.metrics_json, || report.batch.metrics.render_json())?;
+    write_file(&out.metrics_prom, || {
+        report.batch.metrics.render_prometheus()
+    })?;
 
-    let outputs: Vec<(&Option<String>, String)> = vec![
-        (&candidates_json, report.expansion.render_candidates_json()),
-        (&metrics_json, report.batch.metrics.render_json()),
-        (&metrics_prom, report.batch.metrics.render_prometheus()),
-    ];
-    for (path, content) in outputs {
-        if let Some(path) = path {
-            if let Err(e) = std::fs::write(path, content) {
-                eprintln!("error writing {path}: {e}");
-                return ExitCode::from(3);
-            }
-        }
-    }
-
-    if verdicts_json {
+    if out.verdicts_json {
         print!("{}", report.batch.render_verdicts_json());
-    } else if json {
+    } else if out.json {
         println!("{}", report.batch.render_json());
     } else {
         print!("{}", report.expansion.render_candidates_human());
         print!("{}", report.batch.render_human());
     }
-    ExitCode::SUCCESS
-}
-
-/// Reads a `--jobs` file: one job per whitespace-separated line
-/// (`name S.mir T.mir poc.bin f1,f2`), `#` starting a comment.
-fn load_job_file(path: &str) -> Result<Vec<BatchJob>, String> {
-    let src = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    let mut jobs = Vec::new();
-    for (lineno, line) in src.lines().enumerate() {
-        let line = line.split('#').next().unwrap_or("").trim();
-        if line.is_empty() {
-            continue;
-        }
-        let fields: Vec<&str> = line.split_whitespace().collect();
-        let [name, s_path, t_path, poc_path, shared] = fields[..] else {
-            return Err(format!(
-                "{path}:{}: expected `name S.mir T.mir poc.bin f1,f2`, got {} fields",
-                lineno + 1,
-                fields.len()
-            ));
-        };
-        let poc_bytes = std::fs::read(poc_path)
-            .map_err(|e| format!("{path}:{}: {poc_path}: {e}", lineno + 1))?;
-        jobs.push(BatchJob {
-            name: name.to_string(),
-            s: load_program(s_path).map_err(|e| format!("{path}:{}: {e}", lineno + 1))?,
-            t: load_program(t_path).map_err(|e| format!("{path}:{}: {e}", lineno + 1))?,
-            poc: PocFile::new(poc_bytes),
-            shared: shared
-                .split(',')
-                .map(|s| s.trim().to_string())
-                .filter(|s| !s.is_empty())
-                .collect(),
-        });
-    }
-    if jobs.is_empty() {
-        return Err(format!("{path}: no jobs"));
-    }
-    Ok(jobs)
-}
-
-/// The Table II corpus as a batch job set.
-fn corpus_jobs() -> Vec<BatchJob> {
-    octo_corpus::all_pairs()
-        .into_iter()
-        .map(|p| BatchJob {
-            name: p.display_name(),
-            s: p.s,
-            t: p.t,
-            poc: p.poc,
-            shared: p.shared,
-        })
-        .collect()
+    Ok(ExitCode::SUCCESS)
 }
 
 /// The `octopocs batch` subcommand: scheduled batch verification.
-fn batch_main(argv: &[String]) -> ExitCode {
+fn batch_main(argv: &[String]) -> Exit {
     let mut corpus = false;
     let mut jobs_path: Option<String> = None;
     let mut options = BatchOptions::default();
     let mut config = PipelineConfig::default();
-    let mut json = false;
-    let mut verdicts_json = false;
-    let mut events = false;
-    let mut metrics_json: Option<String> = None;
-    let mut metrics_prom: Option<String> = None;
+    let mut out = ReportFlags::default();
     let mut trace_chrome: Option<String> = None;
     let mut trace_jsonl: Option<String> = None;
     let mut post_mortem = false;
-    let mut it = argv.iter();
-    let parse_error = |msg: String| {
-        if msg.is_empty() {
-            eprintln!("{}", usage());
-        } else {
-            eprintln!("{msg}\n{}", usage());
-        }
-        ExitCode::from(3)
-    };
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("missing value for {name}"))
-        };
-        let result: Result<(), String> = (|| {
-            match flag.as_str() {
-                "--corpus" => corpus = true,
-                "--jobs" => jobs_path = Some(value("--jobs")?),
-                "--workers" => {
-                    options.workers = value("--workers")?
-                        .parse()
-                        .map_err(|e| format!("bad --workers: {e}"))?;
-                    if options.workers == 0 {
-                        return Err("--workers must be at least 1".to_string());
-                    }
-                }
-                "--deadline-secs" => {
-                    let secs: f64 = value("--deadline-secs")?
-                        .parse()
-                        .map_err(|e| format!("bad --deadline-secs: {e}"))?;
-                    if !secs.is_finite() || secs <= 0.0 {
-                        return Err("--deadline-secs must be positive".to_string());
-                    }
-                    options.deadline = Some(std::time::Duration::from_secs_f64(secs));
-                }
-                "--theta" => {
-                    config.theta = value("--theta")?
-                        .parse()
-                        .map_err(|e| format!("bad --theta: {e}"))?
-                }
-                "--accelerate-loops" => config.loop_acceleration = true,
-                "--static-cfg" => config.cfg_mode = octo_cfg::CfgMode::Static,
-                "--context-free" => config.taint_context = octo_taint::ContextMode::ContextFree,
-                "--prescreen" => config.static_prescreen = true,
-                "--cache-dir" => {
-                    options.cache_dir = Some(std::path::PathBuf::from(value("--cache-dir")?))
-                }
-                "--json" => json = true,
-                "--verdicts-json" => verdicts_json = true,
-                "--events" => events = true,
-                "--fault-plan" => {
-                    let path = value("--fault-plan")?;
-                    let text =
-                        std::fs::read_to_string(&path).map_err(|e| format!("{path}: {e}"))?;
-                    let plan = octopocs::FaultPlan::parse_json(&text)
-                        .map_err(|e| format!("{path}: {e}"))?;
-                    options.faults = Some(std::sync::Arc::new(plan));
-                }
-                "--retry" => {
-                    options.retry.max_attempts = value("--retry")?
-                        .parse()
-                        .map_err(|e| format!("bad --retry: {e}"))?;
-                    if options.retry.max_attempts == 0 {
-                        return Err("--retry must be at least 1".to_string());
-                    }
-                }
-                "--retry-backoff-ms" => {
-                    let ms: u64 = value("--retry-backoff-ms")?
-                        .parse()
-                        .map_err(|e| format!("bad --retry-backoff-ms: {e}"))?;
-                    if ms == 0 {
-                        return Err(
-                            "--retry-backoff-ms must be positive (omit the flag for no backoff)"
-                                .to_string(),
-                        );
-                    }
-                    options.retry.base_backoff = std::time::Duration::from_millis(ms);
-                }
-                "--watchdog-quiet-secs" => {
-                    let secs: f64 = value("--watchdog-quiet-secs")?
-                        .parse()
-                        .map_err(|e| format!("bad --watchdog-quiet-secs: {e}"))?;
-                    if !secs.is_finite() || secs <= 0.0 {
-                        return Err("--watchdog-quiet-secs must be positive".to_string());
-                    }
-                    options.watchdog = Some(octopocs::WatchdogConfig::with_quiet(
-                        std::time::Duration::from_secs_f64(secs),
-                    ));
-                }
-                "--metrics-json" => metrics_json = Some(value("--metrics-json")?),
-                "--metrics-prom" => metrics_prom = Some(value("--metrics-prom")?),
-                "--trace-chrome" => trace_chrome = Some(value("--trace-chrome")?),
-                "--trace-jsonl" => trace_jsonl = Some(value("--trace-jsonl")?),
-                "--post-mortem" => post_mortem = true,
-                "--help" | "-h" => return Err(String::new()),
-                other => return Err(format!("unknown batch flag `{other}`")),
+    cli::parse_flags(argv, "batch flag", USAGE, |flag, cur| {
+        match flag {
+            "--corpus" => corpus = true,
+            "--jobs" => jobs_path = Some(cur.value(flag)?),
+            "--trace-chrome" => trace_chrome = Some(cur.value(flag)?),
+            "--trace-jsonl" => trace_jsonl = Some(cur.value(flag)?),
+            "--post-mortem" => post_mortem = true,
+            _ => {
+                return Ok(out.flag(flag, cur)?
+                    || cli::run_flags(flag, cur, &mut options)?
+                    || cli::engine_flags(flag, cur, &mut config)?
+                    || cli::robustness_flags(flag, cur, &mut options)?)
             }
-            Ok(())
-        })();
-        if let Err(msg) = result {
-            return parse_error(msg);
         }
-    }
+        Ok(true)
+    })?;
     if corpus == jobs_path.is_some() {
-        return parse_error("exactly one of --corpus or --jobs is required".to_string());
+        return usage_error("exactly one of --corpus or --jobs is required");
     }
-    if json && verdicts_json {
-        return parse_error("--json and --verdicts-json are mutually exclusive".to_string());
-    }
-    let jobs = if corpus {
-        corpus_jobs()
-    } else {
-        match load_job_file(jobs_path.as_deref().expect("checked above")) {
-            Ok(jobs) => jobs,
-            Err(msg) => {
-                eprintln!("error: {msg}");
-                return ExitCode::from(3);
-            }
-        }
+    out.check()?;
+    let jobs = match &jobs_path {
+        None => octopocs::corpus_jobs(),
+        Some(path) => cli::load_job_file(path).map_err(|e| cli::error([e]))?,
     };
 
     // A flight recorder only when an export asked for one; otherwise
@@ -777,18 +521,9 @@ fn batch_main(argv: &[String]) -> ExitCode {
         options.cancel = Some(drain.clone());
     }
 
-    let stderr_sink = |event: octo_sched::Event| eprintln!("{}", event.render_human());
-    let report = if events {
-        run_batch(&jobs, &config, &options, &stderr_sink)
-    } else {
-        run_batch(&jobs, &config, &options, &octo_sched::NullSink)
-    };
+    let report = run_batch(&jobs, &config, &options, out.sink());
 
-    let mut outputs: Vec<(&Option<String>, String)> = vec![
-        (&metrics_json, report.metrics.render_json()),
-        (&metrics_prom, report.metrics.render_prometheus()),
-    ];
-    if let Some(rec) = &recorder {
+    let snapshot = recorder.as_ref().map(|rec| {
         let snapshot = rec.snapshot();
         if rec.dropped() > 0 {
             eprintln!(
@@ -796,21 +531,20 @@ fn batch_main(argv: &[String]) -> ExitCode {
                 rec.dropped()
             );
         }
-        outputs.push((&trace_chrome, octo_trace::chrome::render_chrome(&snapshot)));
-        let mut lines = String::new();
-        for e in &snapshot {
-            lines.push_str(&e.render_json());
-            lines.push('\n');
-        }
-        outputs.push((&trace_jsonl, lines));
-    }
-    for (path, content) in outputs {
-        if let Some(path) = path {
-            if let Err(e) = std::fs::write(path, content) {
-                eprintln!("error writing {path}: {e}");
-                return ExitCode::from(3);
-            }
-        }
+        snapshot
+    });
+    write_file(&out.metrics_json, || report.metrics.render_json())?;
+    write_file(&out.metrics_prom, || report.metrics.render_prometheus())?;
+    if let Some(snapshot) = &snapshot {
+        write_file(&trace_chrome, || {
+            octo_trace::chrome::render_chrome(snapshot)
+        })?;
+        write_file(&trace_jsonl, || {
+            snapshot
+                .iter()
+                .map(|e| e.render_json() + "\n")
+                .collect::<String>()
+        })?;
     }
 
     if post_mortem {
@@ -821,16 +555,16 @@ fn batch_main(argv: &[String]) -> ExitCode {
             mortems
         };
         // Keep machine-readable stdout intact when a JSON mode is on.
-        if json || verdicts_json {
+        if out.json || out.verdicts_json {
             eprint!("{text}");
         } else {
             print!("{text}");
         }
     }
 
-    if verdicts_json {
+    if out.verdicts_json {
         print!("{}", report.render_verdicts_json());
-    } else if json {
+    } else if out.json {
         println!("{}", report.render_json());
     } else {
         print!("{}", report.render_human());
@@ -849,78 +583,46 @@ fn batch_main(argv: &[String]) -> ExitCode {
             })
             .count();
         eprintln!("batch: drained by signal; {incomplete} job(s) incomplete");
-        return ExitCode::from(130);
+        return Ok(ExitCode::from(130));
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 /// The `octopocs cache` subcommand: offline maintenance of a disk
 /// artifact cache (`--cache-dir`) — `stats`, `verify` (re-check every
 /// blob's frame and checksum), `gc` (prune by generation/age, sweep
 /// orphan temp files). See docs/caching.md.
-fn cache_main(argv: &[String]) -> ExitCode {
-    let parse_error = |msg: String| {
-        if msg.is_empty() {
-            eprintln!("{}", usage());
-        } else {
-            eprintln!("{msg}\n{}", usage());
-        }
-        ExitCode::from(3)
-    };
+fn cache_main(argv: &[String]) -> Exit {
     let Some(action) = argv.first().map(String::as_str) else {
-        return parse_error("cache needs an action: stats, verify or gc".to_string());
+        return usage_error("cache needs an action: stats, verify or gc");
     };
     if !matches!(action, "stats" | "verify" | "gc") {
-        return parse_error(format!("unknown cache action `{action}`"));
+        return usage_error(&format!("unknown cache action `{action}`"));
     }
-    let mut cache_dir: Option<String> = None;
+    let mut cache_dir: Option<PathBuf> = None;
     let mut json = false;
     let mut keep_generations: Option<u64> = None;
     let mut max_age_secs: Option<u64> = None;
-    let mut it = argv[1..].iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("missing value for {name}"))
-        };
-        let result: Result<(), String> = (|| {
-            match flag.as_str() {
-                "--cache-dir" => cache_dir = Some(value("--cache-dir")?),
-                "--json" => json = true,
-                "--keep-generations" => {
-                    keep_generations = Some(
-                        value("--keep-generations")?
-                            .parse()
-                            .map_err(|e| format!("bad --keep-generations: {e}"))?,
-                    )
-                }
-                "--max-age-secs" => {
-                    max_age_secs = Some(
-                        value("--max-age-secs")?
-                            .parse()
-                            .map_err(|e| format!("bad --max-age-secs: {e}"))?,
-                    )
-                }
-                "--help" | "-h" => return Err(String::new()),
-                other => return Err(format!("unknown cache flag `{other}`")),
-            }
-            Ok(())
-        })();
-        if let Err(msg) = result {
-            return parse_error(msg);
+    cli::parse_flags(&argv[1..], "cache flag", USAGE, |flag, cur| {
+        match flag {
+            "--json" => json = true,
+            "--keep-generations" => keep_generations = Some(cur.parse(flag)?),
+            "--max-age-secs" => max_age_secs = Some(cur.parse(flag)?),
+            _ => return cli::cache_dir_flag(flag, cur, &mut cache_dir),
         }
-    }
+        Ok(true)
+    })?;
     let Some(dir) = cache_dir else {
-        return parse_error("cache needs --cache-dir DIR".to_string());
+        return usage_error("cache needs --cache-dir DIR");
     };
     if (keep_generations.is_some() || max_age_secs.is_some()) && action != "gc" {
-        return parse_error("--keep-generations/--max-age-secs only apply to gc".to_string());
+        return usage_error("--keep-generations/--max-age-secs only apply to gc");
     }
-    let store = octopocs::BlobStore::open(std::path::Path::new(&dir));
+    let store = octopocs::BlobStore::open(&dir);
+    let dir = dir.display();
     if store.is_degraded() {
         eprintln!("error: {dir} is not usable as a cache directory");
-        return ExitCode::from(2);
+        return Ok(ExitCode::from(2));
     }
     match action {
         "stats" => {
@@ -936,7 +638,7 @@ fn cache_main(argv: &[String]) -> ExitCode {
                     stats.entries, stats.generation
                 );
             }
-            ExitCode::SUCCESS
+            Ok(ExitCode::SUCCESS)
         }
         "verify" => {
             let report = store.verify();
@@ -964,9 +666,9 @@ fn cache_main(argv: &[String]) -> ExitCode {
                 );
             }
             if report.corrupt.is_empty() {
-                ExitCode::SUCCESS
+                Ok(ExitCode::SUCCESS)
             } else {
-                ExitCode::FAILURE
+                Ok(ExitCode::FAILURE)
             }
         }
         _ => {
@@ -982,7 +684,7 @@ fn cache_main(argv: &[String]) -> ExitCode {
                     report.removed, report.kept, report.temps_swept
                 );
             }
-            ExitCode::SUCCESS
+            Ok(ExitCode::SUCCESS)
         }
     }
 }
@@ -991,178 +693,94 @@ fn cache_main(argv: &[String]) -> ExitCode {
 // Service client subcommands: thin drivers of a running `octopocsd`
 // daemon over the `octo-serve` wire protocol (see docs/service.md).
 
-/// Connects to the daemon. The default endpoint is the daemon's default
-/// Unix socket, `octopocsd.sock`, in the current directory.
-fn service_connect(socket: Option<String>, tcp: Option<String>) -> Result<Client, String> {
-    let endpoint = match (socket, tcp) {
-        (Some(_), Some(_)) => return Err("--socket and --tcp are mutually exclusive".to_string()),
-        (_, Some(addr)) => Endpoint::Tcp(addr),
-        (path, None) => Endpoint::Unix(path.unwrap_or_else(|| "octopocsd.sock".to_string()).into()),
-    };
-    Client::connect(&endpoint)
+/// Connects to the daemon the endpoint flags name; a bad endpoint or a
+/// failed connection is exit 3.
+fn connect(endpoint: &EndpointArgs) -> Result<Client, ExitCode> {
+    endpoint
+        .endpoint()
+        .and_then(|endpoint| Client::connect(&endpoint))
+        .map_err(|e| cli::error([e]))
+}
+
+/// Prints an unexpected daemon reply (or transport error) and returns
+/// exit code `code`.
+fn bad_reply(reply: Result<Response, String>, code: u8) -> ExitCode {
+    match reply {
+        Ok(other) => eprintln!("error: unexpected response {}", other.render()),
+        Err(e) => eprintln!("error: {e}"),
+    }
+    ExitCode::from(code)
 }
 
 /// The `octopocs submit` subcommand: admit jobs into a running daemon.
 /// Exit 0 = every job accepted, 1 = at least one rejected (backpressure
 /// or invalid), 3 = usage or connection error.
-fn submit_main(argv: &[String]) -> ExitCode {
-    let mut corpus = false;
-    let mut scan = false;
-    let mut s_path = String::new();
-    let mut t_path = String::new();
-    let mut poc_path = String::new();
+fn submit_main(argv: &[String]) -> Exit {
+    let (mut corpus, mut scan) = (false, false);
+    let (mut s_path, mut t_path, mut poc_path) = (String::new(), String::new(), String::new());
     let mut shared: Vec<String> = Vec::new();
     let mut target_paths: Vec<String> = Vec::new();
-    let mut params = octo_clone::CloneParams::default();
+    let mut params = CloneParams::default();
     let mut priority: Option<ServePriority> = None;
-    let mut socket: Option<String> = None;
-    let mut tcp: Option<String> = None;
-    let mut it = argv.iter();
-    let parse_error = |msg: String| {
-        if msg.is_empty() {
-            eprintln!("{}", usage());
-        } else {
-            eprintln!("{msg}\n{}", usage());
-        }
-        ExitCode::from(3)
-    };
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| -> Result<String, String> {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("missing value for {name}"))
-        };
-        let result: Result<(), String> = (|| {
-            match flag.as_str() {
-                "--corpus" => corpus = true,
-                "--scan" => scan = true,
-                "--s" => s_path = value("--s")?,
-                "--t" => t_path = value("--t")?,
-                "--poc" => poc_path = value("--poc")?,
-                "--shared" => {
-                    shared = value("--shared")?
-                        .split(',')
-                        .map(str::to_string)
-                        .filter(|s| !s.is_empty())
-                        .collect()
-                }
-                "--target" => target_paths.push(value("--target")?),
-                "--priority" => {
-                    priority = Some(
-                        ServePriority::parse(&value("--priority")?)
-                            .map_err(|e| format!("bad --priority: {e}"))?,
-                    )
-                }
-                "--socket" => socket = Some(value("--socket")?),
-                "--tcp" => tcp = Some(value("--tcp")?),
-                "--help" | "-h" => return Err(String::new()),
-                other => {
-                    if !parse_clone_params(other, &mut value, &mut params)? {
-                        return Err(format!("unknown submit flag `{other}`"));
-                    }
-                }
+    let mut endpoint = EndpointArgs::default();
+    cli::parse_flags(argv, "submit flag", USAGE, |flag, cur| {
+        match flag {
+            "--corpus" => corpus = true,
+            "--scan" => scan = true,
+            "--s" => s_path = cur.value(flag)?,
+            "--t" => t_path = cur.value(flag)?,
+            "--poc" => poc_path = cur.value(flag)?,
+            "--shared" => shared = cli::split_shared(&cur.value(flag)?),
+            "--target" => target_paths.push(cur.value(flag)?),
+            "--priority" => {
+                priority = Some(
+                    ServePriority::parse(&cur.value(flag)?)
+                        .map_err(|e| format!("bad {flag}: {e}"))?,
+                )
             }
-            Ok(())
-        })();
-        if let Err(msg) = result {
-            return parse_error(msg);
+            _ => {
+                return Ok(cli::endpoint_flags(flag, cur, &mut endpoint)?
+                    || cli::clone_flags(flag, cur, &mut params)?)
+            }
         }
-    }
+        Ok(true)
+    })?;
     let single = !s_path.is_empty() && !scan;
     if usize::from(corpus) + usize::from(scan) + usize::from(single) != 1 {
-        return parse_error(
-            "exactly one of --corpus, --scan, or (--s/--t/--poc/--shared) is required".to_string(),
+        return usage_error(
+            "exactly one of --corpus, --scan, or (--s/--t/--poc/--shared) is required",
         );
     }
     // Corpus/scan expansions default to bulk; a single pair is a human
     // waiting and defaults to interactive.
     let (jobs, default_priority) = if corpus {
-        (corpus_jobs(), ServePriority::Bulk)
+        (octopocs::corpus_jobs(), ServePriority::Bulk)
     } else if scan {
         if s_path.is_empty() || poc_path.is_empty() || target_paths.is_empty() {
-            return parse_error("--scan needs --s, --poc and at least one --target".to_string());
+            return usage_error("--scan needs --s, --poc and at least one --target");
         }
-        let s = match load_program(&s_path) {
-            Ok(p) => p,
-            Err(msg) => {
-                eprintln!("error: {msg}");
-                return ExitCode::from(3);
-            }
-        };
-        let poc = match std::fs::read(&poc_path) {
-            Ok(bytes) => PocFile::new(bytes),
-            Err(e) => {
-                eprintln!("error: {poc_path}: {e}");
-                return ExitCode::from(3);
-            }
-        };
-        let mut targets = Vec::new();
-        for path in &target_paths {
-            match load_program(path) {
-                Ok(t) => targets.push(octopocs::ScanTarget {
-                    name: path.clone(),
-                    t,
-                }),
-                Err(msg) => {
-                    eprintln!("error: {msg}");
-                    return ExitCode::from(3);
-                }
-            }
-        }
-        let expansion = octopocs::expand_scan(
-            &[octopocs::ScanSource {
-                name: s_path.clone(),
-                s,
-                poc,
-            }],
-            &targets,
-            &params,
-        );
+        let (sources, targets) = cli::load_scan_inputs(&s_path, &poc_path, &target_paths)
+            .map_err(|e| cli::error([e]))?;
+        let expansion = octopocs::expand_scan(&sources, &targets, &params);
         (expansion.jobs, ServePriority::Bulk)
     } else {
         if t_path.is_empty() || poc_path.is_empty() || shared.is_empty() {
-            return parse_error("submit needs --s, --t, --poc and --shared".to_string());
+            return usage_error("submit needs --s, --t, --poc and --shared");
         }
-        let (s, t, poc_bytes) = match (
-            load_program(&s_path),
-            load_program(&t_path),
-            std::fs::read(&poc_path),
-        ) {
-            (Ok(s), Ok(t), Ok(p)) => (s, t, p),
-            (s, t, p) => {
-                for msg in [
-                    s.err(),
-                    t.err(),
-                    p.err().map(|e| format!("{poc_path}: {e}")),
-                ]
-                .into_iter()
-                .flatten()
-                {
-                    eprintln!("error: {msg}");
-                }
-                return ExitCode::from(3);
-            }
+        let (s, t, poc) = cli::load_pair(&s_path, &t_path, &poc_path).map_err(cli::error)?;
+        let name = format!("{s_path} => {t_path}");
+        let job = BatchJob {
+            name,
+            s,
+            t,
+            poc,
+            shared,
         };
-        (
-            vec![BatchJob {
-                name: format!("{s_path} => {t_path}"),
-                s,
-                t,
-                poc: PocFile::new(poc_bytes),
-                shared,
-            }],
-            ServePriority::Interactive,
-        )
+        (vec![job], ServePriority::Interactive)
     };
     let priority = priority.unwrap_or(default_priority);
 
-    let mut client = match service_connect(socket, tcp) {
-        Ok(client) => client,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::from(3);
-        }
-    };
+    let mut client = connect(&endpoint)?;
     let mut refused = 0usize;
     for job in &jobs {
         let spec = octopocs::batch_job_to_spec(job, priority);
@@ -1180,24 +798,20 @@ fn submit_main(argv: &[String]) -> ExitCode {
                 eprintln!("error {}: unexpected response {}", job.name, other.render());
                 refused += 1;
             }
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::from(3);
-            }
+            Err(e) => return Err(cli::error([e])),
         }
     }
     if refused > 0 {
-        ExitCode::from(1)
+        Ok(ExitCode::from(1))
     } else {
-        ExitCode::SUCCESS
+        Ok(ExitCode::SUCCESS)
     }
 }
 
-/// Parses the shared `--socket`/`--tcp`/`--id`-style flags of the small
-/// client subcommands. Returns `Err` on unknown flags.
+/// The flags of the small client subcommands.
+#[derive(Default)]
 struct ClientArgs {
-    socket: Option<String>,
-    tcp: Option<String>,
+    endpoint: EndpointArgs,
     id: Option<u64>,
     metrics_json: Option<String>,
     wait: bool,
@@ -1205,43 +819,23 @@ struct ClientArgs {
     shutdown: bool,
 }
 
-fn parse_client_args(argv: &[String], subcommand: &str) -> Result<ClientArgs, String> {
-    let mut args = ClientArgs {
-        socket: None,
-        tcp: None,
-        id: None,
-        metrics_json: None,
-        wait: false,
-        verdicts_json: false,
-        shutdown: false,
-    };
-    let mut it = argv.iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("missing value for {name}"))
-        };
-        match flag.as_str() {
-            "--socket" => args.socket = Some(value("--socket")?),
-            "--tcp" => args.tcp = Some(value("--tcp")?),
-            "--id" => {
-                args.id = Some(
-                    value("--id")?
-                        .parse()
-                        .map_err(|e| format!("bad --id: {e}"))?,
-                )
-            }
+/// Parses the flags of `status`, `watch`, `results` or `drain`, each of
+/// which takes `--id` and the endpoint flags plus its own.
+fn parse_client_args(argv: &[String], subcommand: &str) -> Result<ClientArgs, ExitCode> {
+    let mut args = ClientArgs::default();
+    cli::parse_flags(argv, &format!("{subcommand} flag"), USAGE, |flag, cur| {
+        match flag {
+            "--id" => args.id = Some(cur.parse(flag)?),
             "--metrics-json" if subcommand == "status" => {
-                args.metrics_json = Some(value("--metrics-json")?)
+                args.metrics_json = Some(cur.value(flag)?)
             }
             "--wait" if subcommand == "results" => args.wait = true,
             "--verdicts-json" if subcommand == "results" => args.verdicts_json = true,
             "--shutdown" if subcommand == "drain" => args.shutdown = true,
-            "--help" | "-h" => return Err(String::new()),
-            other => return Err(format!("unknown {subcommand} flag `{other}`")),
+            _ => return cli::endpoint_flags(flag, cur, &mut args.endpoint),
         }
-    }
+        Ok(true)
+    })?;
     Ok(args)
 }
 
@@ -1268,37 +862,15 @@ fn render_job_status(j: &octo_serve::JobStatus) -> String {
 
 /// The `octopocs status` subcommand. Exit 0 = answered, 1 = unknown job
 /// id, 3 = usage or connection error.
-fn status_main(argv: &[String]) -> ExitCode {
-    let args = match parse_client_args(argv, "status") {
-        Ok(args) => args,
-        Err(msg) => {
-            eprintln!("{msg}\n{}", usage());
-            return ExitCode::from(3);
-        }
-    };
-    let mut client = match service_connect(args.socket, args.tcp) {
-        Ok(client) => client,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::from(3);
-        }
-    };
-    if let Some(path) = &args.metrics_json {
+fn status_main(argv: &[String]) -> Exit {
+    let args = parse_client_args(argv, "status")?;
+    let mut client = connect(&args.endpoint)?;
+    if args.metrics_json.is_some() {
         match client.request(&Request::Metrics) {
             Ok(Response::Metrics { body }) => {
-                if let Err(e) = std::fs::write(path, body) {
-                    eprintln!("error writing {path}: {e}");
-                    return ExitCode::from(3);
-                }
+                write_file(&args.metrics_json, || body)?;
             }
-            Ok(other) => {
-                eprintln!("error: unexpected response {}", other.render());
-                return ExitCode::from(3);
-            }
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::from(3);
-            }
+            reply => return Err(bad_reply(reply, 3)),
         }
     }
     match client.request(&Request::Status { id: args.id }) {
@@ -1312,7 +884,7 @@ fn status_main(argv: &[String]) -> ExitCode {
                 s.done,
                 if s.draining { ", draining" } else { "" }
             );
-            ExitCode::SUCCESS
+            Ok(ExitCode::SUCCESS)
         }
         Ok(Response::Job(j)) => {
             println!("{}", render_job_status(&j));
@@ -1321,72 +893,45 @@ fn status_main(argv: &[String]) -> ExitCode {
                     println!("  {line}");
                 }
             }
-            ExitCode::SUCCESS
+            Ok(ExitCode::SUCCESS)
         }
         Ok(Response::Error { message }) => {
             eprintln!("error: {message}");
-            ExitCode::from(1)
+            Ok(ExitCode::from(1))
         }
-        Ok(other) => {
-            eprintln!("error: unexpected response {}", other.render());
-            ExitCode::from(3)
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::from(3)
-        }
+        reply => Err(bad_reply(reply, 3)),
     }
 }
 
 /// The `octopocs watch` subcommand: stream one job's events as JSON
 /// lines until its verdict. Exit 0 = done line received, 2 = the stream
 /// ended in an error line, 3 = usage or connection error.
-fn watch_main(argv: &[String]) -> ExitCode {
-    let args = match parse_client_args(argv, "watch") {
-        Ok(args) => args,
-        Err(msg) => {
-            eprintln!("{msg}\n{}", usage());
-            return ExitCode::from(3);
-        }
-    };
+fn watch_main(argv: &[String]) -> Exit {
+    let args = parse_client_args(argv, "watch")?;
     let Some(id) = args.id else {
-        eprintln!("watch needs --id\n{}", usage());
-        return ExitCode::from(3);
+        return usage_error("watch needs --id");
     };
-    let mut client = match service_connect(args.socket, args.tcp) {
-        Ok(client) => client,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::from(3);
-        }
-    };
-    if let Err(e) = client.send(&Request::Watch { id }) {
-        eprintln!("error: {e}");
-        return ExitCode::from(3);
-    }
+    let mut client = connect(&args.endpoint)?;
+    client
+        .send(&Request::Watch { id })
+        .map_err(|e| cli::error([e]))?;
     loop {
         match client.recv() {
             Ok(Some(resp @ Response::Event(_))) => println!("{}", resp.render()),
             Ok(Some(resp @ Response::Done { .. })) => {
                 println!("{}", resp.render());
-                return ExitCode::SUCCESS;
+                return Ok(ExitCode::SUCCESS);
             }
             Ok(Some(Response::Error { message })) => {
                 eprintln!("error: {message}");
-                return ExitCode::from(2);
+                return Ok(ExitCode::from(2));
             }
-            Ok(Some(other)) => {
-                eprintln!("error: unexpected response {}", other.render());
-                return ExitCode::from(2);
-            }
+            Ok(Some(other)) => return Err(bad_reply(Ok(other), 2)),
             Ok(None) => {
                 eprintln!("error: daemon closed the connection");
-                return ExitCode::from(2);
+                return Ok(ExitCode::from(2));
             }
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::from(2);
-            }
+            Err(e) => return Err(bad_reply(Err(e), 2)),
         }
     }
 }
@@ -1395,21 +940,9 @@ fn watch_main(argv: &[String]) -> ExitCode {
 /// is empty; `--verdicts-json` prints the same stable document as
 /// `octopocs batch --verdicts-json`. Exit 0 = answered, 3 = usage or
 /// connection error.
-fn results_main(argv: &[String]) -> ExitCode {
-    let args = match parse_client_args(argv, "results") {
-        Ok(args) => args,
-        Err(msg) => {
-            eprintln!("{msg}\n{}", usage());
-            return ExitCode::from(3);
-        }
-    };
-    let mut client = match service_connect(args.socket, args.tcp) {
-        Ok(client) => client,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::from(3);
-        }
-    };
+fn results_main(argv: &[String]) -> Exit {
+    let args = parse_client_args(argv, "results")?;
+    let mut client = connect(&args.endpoint)?;
     if args.wait {
         loop {
             match client.request(&Request::Status { id: None }) {
@@ -1419,14 +952,7 @@ fn results_main(argv: &[String]) -> ExitCode {
                     }
                     std::thread::sleep(std::time::Duration::from_millis(100));
                 }
-                Ok(other) => {
-                    eprintln!("error: unexpected response {}", other.render());
-                    return ExitCode::from(3);
-                }
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    return ExitCode::from(3);
-                }
+                reply => return Err(bad_reply(reply, 3)),
             }
         }
     }
@@ -1435,17 +961,11 @@ fn results_main(argv: &[String]) -> ExitCode {
             if args.verdicts_json {
                 // Byte-identical to `octopocs batch --verdicts-json`
                 // (and the CI golden): rows in submission order.
-                let mut out = String::from("{\"jobs\":[\n");
-                for (i, row) in jobs.iter().enumerate() {
-                    out.push_str(&format!(
-                        "{{\"name\":\"{}\",{}}}{}\n",
-                        octo_codec::json_escape(&row.name),
-                        row.verdict.render_fields(),
-                        if i + 1 == jobs.len() { "" } else { "," }
-                    ));
-                }
-                out.push_str("]}\n");
-                print!("{out}");
+                let rows: Vec<(&str, octo_serve::VerdictSummary)> = jobs
+                    .iter()
+                    .map(|row| (row.name.as_str(), row.verdict.clone()))
+                    .collect();
+                print!("{}", octopocs::render_verdict_rows(&rows));
             } else {
                 for row in &jobs {
                     println!(
@@ -1462,37 +982,18 @@ fn results_main(argv: &[String]) -> ExitCode {
                 }
                 println!("{} finished job(s)", jobs.len());
             }
-            ExitCode::SUCCESS
+            Ok(ExitCode::SUCCESS)
         }
-        Ok(other) => {
-            eprintln!("error: unexpected response {}", other.render());
-            ExitCode::from(3)
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::from(3)
-        }
+        reply => Err(bad_reply(reply, 3)),
     }
 }
 
 /// The `octopocs drain` subcommand: ask the daemon to finish queued
 /// work and exit (`--shutdown` cancels in-flight jobs instead). Exit
 /// 0 = acknowledged, 3 = usage or connection error.
-fn drain_main(argv: &[String]) -> ExitCode {
-    let args = match parse_client_args(argv, "drain") {
-        Ok(args) => args,
-        Err(msg) => {
-            eprintln!("{msg}\n{}", usage());
-            return ExitCode::from(3);
-        }
-    };
-    let mut client = match service_connect(args.socket, args.tcp) {
-        Ok(client) => client,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::from(3);
-        }
-    };
+fn drain_main(argv: &[String]) -> Exit {
+    let args = parse_client_args(argv, "drain")?;
+    let mut client = connect(&args.endpoint)?;
     let request = if args.shutdown {
         Request::Shutdown
     } else {
@@ -1501,20 +1002,13 @@ fn drain_main(argv: &[String]) -> ExitCode {
     match client.request(&request) {
         Ok(Response::Draining { pending }) => {
             println!("draining; {pending} job(s) still pending");
-            ExitCode::SUCCESS
+            Ok(ExitCode::SUCCESS)
         }
         Ok(Response::ShuttingDown) => {
             println!("shutting down; incomplete jobs will replay from the journal");
-            ExitCode::SUCCESS
+            Ok(ExitCode::SUCCESS)
         }
-        Ok(other) => {
-            eprintln!("error: unexpected response {}", other.render());
-            ExitCode::from(3)
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::from(3)
-        }
+        reply => Err(bad_reply(reply, 3)),
     }
 }
 
@@ -1594,66 +1088,34 @@ fn top_report(body: &str, want: usize) -> Result<TopReport, String> {
 /// daemon's octo-scope HTTP plane (`octopocsd --http`). Exit 0 = rates
 /// printed, 1 = the plane answered but has no windows yet, 3 = usage or
 /// connection error.
-fn top_main(argv: &[String]) -> ExitCode {
+fn top_main(argv: &[String]) -> Exit {
     let mut http: Option<String> = None;
     let mut windows: usize = 10;
     let mut json = false;
-    let mut it = argv.iter();
-    let parse_error = |msg: String| {
-        if msg.is_empty() {
-            eprintln!("{}", usage());
-        } else {
-            eprintln!("{msg}\n{}", usage());
+    cli::parse_flags(argv, "top flag", USAGE, |flag, cur| {
+        match flag {
+            "--http" => http = Some(cur.value(flag)?),
+            "--windows" => windows = cur.count(flag)?,
+            "--json" => json = true,
+            _ => return Ok(false),
         }
-        ExitCode::from(3)
-    };
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| -> Result<String, String> {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("missing value for {name}"))
-        };
-        let result: Result<(), String> = (|| {
-            match flag.as_str() {
-                "--http" => http = Some(value("--http")?),
-                "--windows" => {
-                    windows = value("--windows")?
-                        .parse()
-                        .map_err(|e| format!("bad --windows: {e}"))?;
-                    if windows == 0 {
-                        return Err("--windows must be at least 1".to_string());
-                    }
-                }
-                "--json" => json = true,
-                "--help" | "-h" => return Err(String::new()),
-                other => return Err(format!("unknown top flag `{other}`")),
-            }
-            Ok(())
-        })();
-        if let Err(msg) = result {
-            return parse_error(msg);
-        }
-    }
+        Ok(true)
+    })?;
     let Some(addr) = http else {
-        return parse_error("top needs --http ADDR (the daemon's --http address)".to_string());
+        return usage_error("top needs --http ADDR (the daemon's --http address)");
     };
     let (status, body) =
-        match octo_serve::http_get(&addr, "/metrics/rates", std::time::Duration::from_secs(5)) {
-            Ok(reply) => reply,
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::from(3);
-            }
-        };
+        octo_serve::http_get(&addr, "/metrics/rates", std::time::Duration::from_secs(5))
+            .map_err(|e| cli::error([e]))?;
     if status != 200 {
         eprintln!("error: /metrics/rates answered {status}: {}", body.trim());
-        return ExitCode::from(3);
+        return Err(ExitCode::from(3));
     }
     let report = match top_report(&body, windows) {
         Ok(report) => report,
         Err(e) => {
             eprintln!("error: {e}");
-            return ExitCode::from(1);
+            return Ok(ExitCode::from(1));
         }
     };
     let hit_rate = if report.cache_lookups > 0 {
@@ -1696,153 +1158,25 @@ fn top_main(argv: &[String]) -> ExitCode {
             report.queued_interactive, report.queued_bulk, report.uptime_seconds
         );
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    if argv.first().map(String::as_str) == Some("lint") {
-        return lint_main(&argv[1..]);
-    }
-    if argv.first().map(String::as_str) == Some("batch") {
-        return batch_main(&argv[1..]);
-    }
-    if argv.first().map(String::as_str) == Some("clone") {
-        return clone_main(&argv[1..]);
-    }
-    if argv.first().map(String::as_str) == Some("scan") {
-        return scan_main(&argv[1..]);
-    }
-    if argv.first().map(String::as_str) == Some("cache") {
-        return cache_main(&argv[1..]);
-    }
-    if argv.first().map(String::as_str) == Some("submit") {
-        return submit_main(&argv[1..]);
-    }
-    if argv.first().map(String::as_str) == Some("status") {
-        return status_main(&argv[1..]);
-    }
-    if argv.first().map(String::as_str) == Some("watch") {
-        return watch_main(&argv[1..]);
-    }
-    if argv.first().map(String::as_str) == Some("results") {
-        return results_main(&argv[1..]);
-    }
-    if argv.first().map(String::as_str) == Some("drain") {
-        return drain_main(&argv[1..]);
-    }
-    if argv.first().map(String::as_str) == Some("top") {
-        return top_main(&argv[1..]);
-    }
-    let args = match parse_args(&argv) {
-        Ok(a) => a,
-        Err(msg) => {
-            eprintln!("{msg}");
-            return ExitCode::from(3);
-        }
+    let rest = argv.get(1..).unwrap_or_default();
+    let exit = match argv.first().map(String::as_str) {
+        Some("lint") => lint_main(rest),
+        Some("clone") => clone_main(rest),
+        Some("scan") => scan_main(rest),
+        Some("batch") => batch_main(rest),
+        Some("cache") => cache_main(rest),
+        Some("submit") => submit_main(rest),
+        Some("status") => status_main(rest),
+        Some("watch") => watch_main(rest),
+        Some("results") => results_main(rest),
+        Some("drain") => drain_main(rest),
+        Some("top") => top_main(rest),
+        _ => single_main(&argv),
     };
-    let (s, t, poc_bytes) = match (
-        load_program(&args.s_path),
-        load_program(&args.t_path),
-        std::fs::read(&args.poc_path),
-    ) {
-        (Ok(s), Ok(t), Ok(p)) => (s, t, p),
-        (s, t, p) => {
-            for msg in [
-                s.err(),
-                t.err(),
-                p.err().map(|e| format!("{}: {e}", args.poc_path)),
-            ]
-            .into_iter()
-            .flatten()
-            {
-                eprintln!("error: {msg}");
-            }
-            return ExitCode::from(3);
-        }
-    };
-
-    let mut config = PipelineConfig::default();
-    if let Some(theta) = args.theta {
-        config = config.with_theta(theta);
-    }
-    if args.accelerate_loops {
-        config = config.accelerate_loops();
-    }
-    if args.static_cfg {
-        config = config.static_cfg();
-    }
-    if args.context_free {
-        config = config.context_free();
-    }
-    if args.prescreen {
-        config = config.with_static_prescreen();
-    }
-
-    let poc = PocFile::new(poc_bytes);
-    let input = SoftwarePairInput {
-        s: &s,
-        t: &t,
-        poc: &poc,
-        shared: &args.shared,
-    };
-    let report = verify(&input, &config);
-
-    if args.json {
-        // Hand-rolled JSON keeps the core crate dependency-free.
-        println!(
-            "{{\"verdict\":\"{}\",\"poc_generated\":{},\"verified\":{},\"ep\":\"{}\",\
-             \"ep_entries\":{},\"prescreen\":{},\"wall_seconds\":{:.6}}}",
-            report.verdict.type_label(),
-            report.verdict.poc_generated(),
-            report.verdict.verified(),
-            report.ep_name.as_deref().unwrap_or(""),
-            report.ep_entries,
-            report.prescreen,
-            report.wall_seconds,
-        );
-    } else {
-        println!("verdict    : {}", report.verdict);
-        if let Some(ep) = &report.ep_name {
-            println!("ep         : {ep} ({} entries in S)", report.ep_entries);
-        }
-        if report.prescreen {
-            println!("prescreen  : verdict decided statically in P0");
-        }
-        println!("time       : {:.3}s", report.wall_seconds);
-    }
-
-    match &report.verdict {
-        Verdict::Triggered { poc_prime, .. } => {
-            let poc_prime = if args.minimize {
-                let shared_ids = t.resolve_names(args.shared.iter().map(String::as_str));
-                let (min, stats) =
-                    octopocs::minimize_poc(&t, poc_prime, &shared_ids, octo_vm::Limits::default());
-                if !args.json {
-                    println!(
-                        "minimized  : {} -> {} bytes ({} zeroed, {} execs)",
-                        stats.len_before, stats.len_after, stats.bytes_zeroed, stats.execs
-                    );
-                }
-                min
-            } else {
-                poc_prime.clone()
-            };
-            let poc_prime = &poc_prime;
-            if let Some(out) = &args.out {
-                if let Err(e) = std::fs::write(out, poc_prime.bytes()) {
-                    eprintln!("error writing {out}: {e}");
-                    return ExitCode::from(3);
-                }
-                if !args.json {
-                    println!("poc' written to {out} ({} bytes)", poc_prime.len());
-                }
-            } else if !args.json {
-                println!("poc' hexdump:\n{}", poc_prime.hexdump());
-            }
-            ExitCode::SUCCESS
-        }
-        Verdict::NotTriggerable { .. } => ExitCode::from(1),
-        Verdict::Failure { .. } => ExitCode::from(2),
-    }
+    exit.unwrap_or_else(|code| code)
 }

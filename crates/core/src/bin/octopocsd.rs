@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! octopocsd [--socket PATH] [--tcp ADDR] [--http ADDR] [--journal PATH]
-//!           [--workers N] [--capacity N] [--deadline-secs S]
+//!           [--cache-dir DIR] [--workers N] [--capacity N] [--deadline-secs S]
 //!           [--retry N] [--retry-backoff-ms MS] [--watchdog-quiet-secs S]
 //!           [--fault-plan FILE] [--theta N] [--accelerate-loops]
 //!           [--static-cfg] [--context-free] [--prescreen]
@@ -14,7 +14,9 @@
 //! `docs/service.md`), and runs every admitted `(S, T, poc, ℓ)` job on
 //! the shared batch runtime — artifact cache, metrics registry, retry
 //! policy, watchdog, and fault plan all behave exactly as they do under
-//! `octopocs batch`. Jobs are journaled to `--journal` (default
+//! `octopocs batch` (the flags they share are parsed by the same
+//! `octopocs::cli` groups). `--cache-dir` backs the prefix cache with a
+//! disk blob store, as under `octopocs batch`. Jobs are journaled to `--journal` (default
 //! `octopocsd.journal`) before they are enqueued and their verdicts
 //! journaled on completion, so killing the daemon mid-batch and
 //! restarting it on the same journal resubmits the incomplete jobs
@@ -47,16 +49,13 @@ use std::sync::Arc;
 use octo_sched::{drain_signal_count, install_drain_signals, CancelToken};
 use octo_serve::{serve, Daemon, Journal, ServerConfig};
 use octopocs::batch::BatchOptions;
-use octopocs::{PipelineConfig, ServeExecutor};
+use octopocs::{cli, PipelineConfig, ServeExecutor};
 
-fn usage() -> String {
-    "usage: octopocsd [--socket PATH] [--tcp ADDR] [--http ADDR] [--journal PATH] \
+const USAGE: &str = "usage: octopocsd [--socket PATH] [--tcp ADDR] [--http ADDR] [--journal PATH] \
      [--cache-dir DIR] [--workers N] \
      [--capacity N] [--deadline-secs S] [--retry N] [--retry-backoff-ms MS] \
      [--watchdog-quiet-secs S] [--fault-plan FILE] [--theta N] [--accelerate-loops] \
-     [--static-cfg] [--context-free] [--prescreen] [--metrics-json PATH]"
-        .to_string()
-}
+     [--static-cfg] [--context-free] [--prescreen] [--metrics-json PATH]";
 
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
@@ -68,112 +67,23 @@ fn main() -> ExitCode {
     let mut options = BatchOptions::default();
     let mut config = PipelineConfig::default();
     let mut metrics_json: Option<String> = None;
-    let mut it = argv.iter();
-    let parse_error = |msg: String| {
-        if msg.is_empty() {
-            eprintln!("{}", usage());
-        } else {
-            eprintln!("{msg}\n{}", usage());
-        }
-        ExitCode::from(3)
-    };
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("missing value for {name}"))
-        };
-        let result: Result<(), String> = (|| {
-            match flag.as_str() {
-                "--socket" => socket = value("--socket")?.into(),
-                "--tcp" => tcp = Some(value("--tcp")?),
-                "--http" => http = Some(value("--http")?),
-                "--journal" => journal_path = value("--journal")?.into(),
-                "--cache-dir" => {
-                    options.cache_dir = Some(std::path::PathBuf::from(value("--cache-dir")?))
-                }
-                "--capacity" => {
-                    capacity = value("--capacity")?
-                        .parse()
-                        .map_err(|e| format!("bad --capacity: {e}"))?;
-                    if capacity == 0 {
-                        return Err("--capacity must be at least 1".to_string());
-                    }
-                }
-                "--workers" => {
-                    options.workers = value("--workers")?
-                        .parse()
-                        .map_err(|e| format!("bad --workers: {e}"))?;
-                    if options.workers == 0 {
-                        return Err("--workers must be at least 1".to_string());
-                    }
-                }
-                "--deadline-secs" => {
-                    let secs: f64 = value("--deadline-secs")?
-                        .parse()
-                        .map_err(|e| format!("bad --deadline-secs: {e}"))?;
-                    if !secs.is_finite() || secs <= 0.0 {
-                        return Err("--deadline-secs must be positive".to_string());
-                    }
-                    options.deadline = Some(std::time::Duration::from_secs_f64(secs));
-                }
-                "--retry" => {
-                    options.retry.max_attempts = value("--retry")?
-                        .parse()
-                        .map_err(|e| format!("bad --retry: {e}"))?;
-                    if options.retry.max_attempts == 0 {
-                        return Err("--retry must be at least 1".to_string());
-                    }
-                }
-                "--retry-backoff-ms" => {
-                    let ms: u64 = value("--retry-backoff-ms")?
-                        .parse()
-                        .map_err(|e| format!("bad --retry-backoff-ms: {e}"))?;
-                    if ms == 0 {
-                        return Err(
-                            "--retry-backoff-ms must be positive (omit the flag for no backoff)"
-                                .to_string(),
-                        );
-                    }
-                    options.retry.base_backoff = std::time::Duration::from_millis(ms);
-                }
-                "--watchdog-quiet-secs" => {
-                    let secs: f64 = value("--watchdog-quiet-secs")?
-                        .parse()
-                        .map_err(|e| format!("bad --watchdog-quiet-secs: {e}"))?;
-                    if !secs.is_finite() || secs <= 0.0 {
-                        return Err("--watchdog-quiet-secs must be positive".to_string());
-                    }
-                    options.watchdog = Some(octopocs::WatchdogConfig::with_quiet(
-                        std::time::Duration::from_secs_f64(secs),
-                    ));
-                }
-                "--fault-plan" => {
-                    let path = value("--fault-plan")?;
-                    let text =
-                        std::fs::read_to_string(&path).map_err(|e| format!("{path}: {e}"))?;
-                    let plan = octopocs::FaultPlan::parse_json(&text)
-                        .map_err(|e| format!("{path}: {e}"))?;
-                    options.faults = Some(Arc::new(plan));
-                }
-                "--theta" => {
-                    config.theta = value("--theta")?
-                        .parse()
-                        .map_err(|e| format!("bad --theta: {e}"))?
-                }
-                "--accelerate-loops" => config.loop_acceleration = true,
-                "--static-cfg" => config.cfg_mode = octo_cfg::CfgMode::Static,
-                "--context-free" => config.taint_context = octo_taint::ContextMode::ContextFree,
-                "--prescreen" => config.static_prescreen = true,
-                "--metrics-json" => metrics_json = Some(value("--metrics-json")?),
-                "--help" | "-h" => return Err(String::new()),
-                other => return Err(format!("unknown octopocsd flag `{other}`")),
+    if let Err(code) = cli::parse_flags(&argv, "octopocsd flag", USAGE, |flag, cur| {
+        match flag {
+            "--socket" => socket = cur.value(flag)?.into(),
+            "--tcp" => tcp = Some(cur.value(flag)?),
+            "--http" => http = Some(cur.value(flag)?),
+            "--journal" => journal_path = cur.value(flag)?.into(),
+            "--capacity" => capacity = cur.count(flag)?,
+            "--metrics-json" => metrics_json = Some(cur.value(flag)?),
+            _ => {
+                return Ok(cli::run_flags(flag, cur, &mut options)?
+                    || cli::engine_flags(flag, cur, &mut config)?
+                    || cli::robustness_flags(flag, cur, &mut options)?)
             }
-            Ok(())
-        })();
-        if let Err(msg) = result {
-            return parse_error(msg);
         }
+        Ok(true)
+    }) {
+        return code;
     }
 
     // The run-level drain token: SIGINT/SIGTERM fire it (the second

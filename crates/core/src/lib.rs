@@ -93,6 +93,7 @@
 
 pub mod batch;
 pub mod blob;
+pub mod cli;
 pub mod config;
 pub mod minimize;
 pub mod pipeline;
@@ -103,7 +104,8 @@ pub mod service;
 pub mod verdict;
 
 pub use batch::{
-    prefix_cache_key, run_batch, BatchEntry, BatchJob, BatchOptions, BatchReport, BatchRuntime,
+    corpus_jobs, prefix_cache_key, render_verdict_rows, run_batch, BatchEntry, BatchJob,
+    BatchOptions, BatchReport, BatchRuntime,
 };
 pub use config::PipelineConfig;
 pub use minimize::{minimize_poc, MinimizeStats};

@@ -134,13 +134,7 @@ impl JobExecutor for ServeExecutor {
             }
         );
         ExecOutcome {
-            verdict: VerdictSummary {
-                verdict: entry.report.verdict.type_label().to_string(),
-                poc_generated: entry.report.verdict.poc_generated(),
-                verified: entry.report.verdict.verified(),
-                attempts: entry.report.attempts,
-                quarantined: entry.quarantined,
-            },
+            verdict: entry.summary(),
             post_mortem: entry
                 .report
                 .post_mortem

@@ -4,27 +4,13 @@
 //! unusable cache directory must degrade the whole run to memory-only —
 //! exit 0, all verdicts intact, one warning.
 
+mod common;
+
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
 /// The fault-free corpus verdicts CI pins (`tests/golden/batch_verdicts.json`).
 const GOLDEN: &str = include_str!("golden/batch_verdicts.json");
-
-/// The binaries live in the same target directory as this test.
-fn bin_path(name: &str) -> PathBuf {
-    let mut p = std::env::current_exe().expect("test exe path");
-    p.pop(); // deps/
-    p.pop(); // debug/ or release/
-    p.push(name);
-    if !p.exists() {
-        let status = Command::new(env!("CARGO"))
-            .args(["build", "-p", "octopocs", "--bin", name])
-            .status()
-            .expect("cargo build");
-        assert!(status.success());
-    }
-    p
-}
 
 fn workdir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("octopocs-warm-{tag}-{}", std::process::id()));
@@ -36,7 +22,7 @@ fn workdir(tag: &str) -> PathBuf {
 /// Runs `octopocs batch --corpus --verdicts-json --cache-dir <cache>`,
 /// dumping metrics beside it. Returns (exit code, stdout, stderr).
 fn run_batch(cache: &Path, metrics: &Path) -> (i32, String, String) {
-    let output = Command::new(bin_path("octopocs"))
+    let output = Command::new(common::bin("octopocs"))
         .args(["batch", "--corpus", "--workers", "2", "--verdicts-json"])
         .args(["--cache-dir", cache.to_str().expect("utf8 path")])
         .args(["--metrics-json", metrics.to_str().expect("utf8 path")])
@@ -152,7 +138,7 @@ fn bit_flipped_blob_is_quarantined_and_verdicts_hold() {
     bytes[at] ^= 0x10;
     std::fs::write(&blob, &bytes).expect("write flipped blob");
 
-    let verify = Command::new(bin_path("octopocs"))
+    let verify = Command::new(common::bin("octopocs"))
         .args(["cache", "verify", "--cache-dir"])
         .arg(&cache)
         .output()

@@ -7,13 +7,14 @@
 //! checked-in golden file, at any worker count. The committed plan in
 //! `tests/golden/fault_plan.json` doubles as the CI chaos fixture.
 
+mod common;
+
 use std::sync::Arc;
 use std::time::Duration;
 
-use octo_corpus::all_pairs;
 use octo_faults::{FaultPlan, FaultSite, RetryPolicy};
 use octo_sched::{NullSink, WatchdogConfig};
-use octopocs::batch::{run_batch, BatchJob, BatchOptions, BatchReport};
+use octopocs::batch::{corpus_jobs, run_batch, BatchOptions, BatchReport};
 use octopocs::verdict::{FailureReason, Verdict};
 use octopocs::PipelineConfig;
 
@@ -29,19 +30,6 @@ const CHAOS_GOLDEN: &str = include_str!("golden/chaos_verdicts.json");
 /// statistics stay identical to the fault-free run.
 const PANIC_JOB: usize = 2;
 const FAULTED_JOB: usize = 7;
-
-fn corpus_jobs() -> Vec<BatchJob> {
-    all_pairs()
-        .into_iter()
-        .map(|p| BatchJob {
-            name: p.display_name(),
-            s: p.s,
-            t: p.t,
-            poc: p.poc,
-            shared: p.shared,
-        })
-        .collect()
-}
 
 /// Per-job lines of the stable verdict rendering (strips the wrapper).
 fn job_lines(rendered: &str) -> Vec<String> {
@@ -281,7 +269,7 @@ fn sigkilled_batch_restarts_clean_on_the_same_cache_dir() {
     std::fs::create_dir_all(&dir).expect("workdir");
     let cache = dir.join("cache");
 
-    let mut child = Command::new(bin_path("octopocs"))
+    let mut child = Command::new(common::bin("octopocs"))
         .args(["batch", "--corpus", "--workers", "2", "--verdicts-json"])
         .args(["--cache-dir", cache.to_str().expect("utf8 path")])
         .stdout(Stdio::null())
@@ -295,7 +283,7 @@ fn sigkilled_batch_restarts_clean_on_the_same_cache_dir() {
     let _ = child.kill();
     let _ = child.wait();
 
-    let output = Command::new(bin_path("octopocs"))
+    let output = Command::new(common::bin("octopocs"))
         .args(["batch", "--corpus", "--workers", "2", "--verdicts-json"])
         .args(["--cache-dir", cache.to_str().expect("utf8 path")])
         .output()
@@ -312,22 +300,6 @@ fn sigkilled_batch_restarts_clean_on_the_same_cache_dir() {
         "restart verdicts drifted from the golden"
     );
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// The binaries live in the same target directory as this test.
-fn bin_path(name: &str) -> std::path::PathBuf {
-    let mut p = std::env::current_exe().expect("test exe path");
-    p.pop(); // deps/
-    p.pop(); // debug/ or release/
-    p.push(name);
-    if !p.exists() {
-        let status = std::process::Command::new(env!("CARGO"))
-            .args(["build", "-p", "octopocs", "--bin", name])
-            .status()
-            .expect("cargo build");
-        assert!(status.success());
-    }
-    p
 }
 
 #[test]

@@ -6,10 +6,13 @@
 //! capacity with an explicit rejection (never a hang), and honour the
 //! drain signals and numeric-flag validation of `octopocs batch`.
 
+mod common;
+
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
+use octo_ir::printer::print_program;
 use octo_serve::{Client, Endpoint, Request, Response};
 
 /// The golden corpus verdicts (also pinned by `batch_golden.rs`).
@@ -22,22 +25,6 @@ const METRICS_SCHEMA: &str = include_str!("golden/metrics_schema.txt");
 /// A fault plan that wedges every job's directed engine (cancellable,
 /// never progressing) — the deterministic way to keep a worker busy.
 const HANG_PLAN: &str = "{\"seed\":1,\"rules\":[{\"site\":\"directed-hang\",\"nth\":1}]}";
-
-fn bin_path(name: &str) -> PathBuf {
-    // The binaries live in the same target directory as this test.
-    let mut p = std::env::current_exe().expect("test exe path");
-    p.pop(); // deps/
-    p.pop(); // debug/ or release/
-    p.push(name);
-    if !p.exists() {
-        let status = Command::new(env!("CARGO"))
-            .args(["build", "-p", "octopocs", "--bin", name])
-            .status()
-            .expect("cargo build");
-        assert!(status.success());
-    }
-    p
-}
 
 /// A scratch directory holding the daemon's socket and journal.
 fn workdir(tag: &str) -> PathBuf {
@@ -54,7 +41,7 @@ fn workdir(tag: &str) -> PathBuf {
 #[allow(clippy::zombie_processes)]
 fn start_daemon(dir: &Path, extra: &[&str]) -> (Child, PathBuf) {
     let socket = dir.join("d.sock");
-    let mut child = Command::new(bin_path("octopocsd"))
+    let mut child = Command::new(common::bin("octopocsd"))
         .current_dir(dir)
         .args(["--socket", "d.sock", "--journal", "d.journal"])
         .args(extra)
@@ -79,7 +66,7 @@ fn start_daemon(dir: &Path, extra: &[&str]) -> (Child, PathBuf) {
 /// Runs an `octopocs` client subcommand against `socket`, returning
 /// (exit code, stdout, stderr).
 fn client(socket: &Path, args: &[&str]) -> (i32, String, String) {
-    let output = Command::new(bin_path("octopocs"))
+    let output = Command::new(common::bin("octopocs"))
         .args(args)
         .args(["--socket", socket.to_str().expect("utf8 socket path")])
         .output()
@@ -338,7 +325,7 @@ fn start_daemon_http(dir: &Path, extra: &[&str]) -> (Child, PathBuf, String) {
     let socket = dir.join("d.sock");
     let banner = dir.join("stderr.log");
     let errlog = std::fs::File::create(&banner).expect("stderr log");
-    let mut child = Command::new(bin_path("octopocsd"))
+    let mut child = Command::new(common::bin("octopocsd"))
         .current_dir(dir)
         .args([
             "--socket",
@@ -550,7 +537,7 @@ fn http_plane_serves_metrics_jobs_and_timelines() {
         );
         std::thread::sleep(Duration::from_millis(50));
     }
-    let top = Command::new(bin_path("octopocs"))
+    let top = Command::new(common::bin("octopocs"))
         .args(["top", "--http", &addr, "--json"])
         .output()
         .expect("spawn octopocs top");
@@ -640,7 +627,7 @@ fn concurrent_scrapes_stay_complete_during_a_batch() {
 fn batch_drains_gracefully_on_sigterm() {
     let dir = workdir("sigterm");
     std::fs::write(dir.join("hang.json"), HANG_PLAN).expect("write plan");
-    let child = Command::new(bin_path("octopocs"))
+    let child = Command::new(common::bin("octopocs"))
         .current_dir(&dir)
         .args([
             "batch",
@@ -703,7 +690,7 @@ fn numeric_flags_are_validated() {
         (&["scan", "--corpus", "--workers", "0"], "--workers"),
     ];
     for (args, flag) in cases {
-        let output = Command::new(bin_path("octopocs"))
+        let output = Command::new(common::bin("octopocs"))
             .args(*args)
             .output()
             .expect("spawn octopocs");
@@ -725,7 +712,7 @@ fn numeric_flags_are_validated() {
         &["--deadline-secs", "0"],
         &["--retry-backoff-ms", "0"],
     ] {
-        let output = Command::new(bin_path("octopocsd"))
+        let output = Command::new(common::bin("octopocsd"))
             .args(args)
             .output()
             .expect("spawn octopocsd");
@@ -735,4 +722,78 @@ fn numeric_flags_are_validated() {
             "octopocsd {args:?} must be a usage error"
         );
     }
+}
+
+/// The `"verdict"` label of a one-line JSON document.
+fn verdict_label(json: &str) -> &str {
+    let start = json.find("\"verdict\":\"").expect("verdict field") + "\"verdict\":\"".len();
+    let len = json[start..].find('"').expect("closing quote");
+    &json[start..start + len]
+}
+
+/// `submit --shared` trims names the way single-pair mode and `--jobs`
+/// files do: the daemon must receive `jpeg_decode_huffman`, not
+/// ` jpeg_decode_huffman` (which `Program::resolve_names` would drop
+/// from ℓ), and reach the verdict the single-pair CLI reaches on the
+/// same pair arguments.
+#[test]
+fn submit_trims_shared_names_like_single_pair_mode() {
+    let dir = workdir("trim");
+    let pair = octo_corpus::all_pairs()
+        .into_iter()
+        .find(|p| p.idx == 1)
+        .expect("idx01");
+    let path = |name: &str| dir.join(name).to_str().expect("utf8 path").to_string();
+    std::fs::write(path("s.mir"), print_program(&pair.s)).expect("write s");
+    std::fs::write(path("t.mir"), print_program(&pair.t)).expect("write t");
+    std::fs::write(path("poc.bin"), pair.poc.bytes()).expect("write poc");
+    let (s, t, poc) = (path("s.mir"), path("t.mir"), path("poc.bin"));
+    let pair_args = [
+        "--s",
+        &s,
+        "--t",
+        &t,
+        "--poc",
+        &poc,
+        "--shared",
+        " jpeg_decode_huffman",
+    ];
+
+    let (mut child, socket) = start_daemon(&dir, &["--workers", "1"]);
+    let mut submit = vec!["submit"];
+    submit.extend(pair_args);
+    let (code, stdout, stderr) = client(&socket, &submit);
+    assert_eq!(code, 0, "submit failed: {stderr}");
+    assert!(stdout.starts_with("accepted 1 "), "{stdout}");
+    let (code, verdicts, stderr) = client(&socket, &["results", "--wait", "--verdicts-json"]);
+    assert_eq!(code, 0, "results failed: {stderr}");
+    // Read before the drain compacts the journal.
+    let journal = std::fs::read_to_string(dir.join("d.journal")).expect("journal");
+    let (code, _, stderr) = client(&socket, &["drain"]);
+    assert_eq!(code, 0, "drain failed: {stderr}");
+    assert_eq!(child.wait().expect("daemon exit").code(), Some(0));
+
+    let job = journal
+        .lines()
+        .find(|l| l.starts_with("{\"journal\":\"job\""))
+        .expect("job record");
+    assert!(
+        job.contains("\"shared\":[\"jpeg_decode_huffman\"]"),
+        "shared names must arrive trimmed: {job}"
+    );
+
+    let single = Command::new(common::bin("octopocs"))
+        .args(pair_args)
+        .arg("--json")
+        .output()
+        .expect("spawn octopocs");
+    let single = String::from_utf8_lossy(&single.stdout);
+    let rows: Vec<&str> = verdicts
+        .lines()
+        .filter(|l| l.starts_with("{\"name\""))
+        .collect();
+    assert_eq!(rows.len(), 1, "{verdicts}");
+    assert_eq!(verdict_label(rows[0]), verdict_label(&single));
+    assert_eq!(verdict_label(&single), "Type-I", "idx01's Table II verdict");
+    let _ = std::fs::remove_dir_all(&dir);
 }
