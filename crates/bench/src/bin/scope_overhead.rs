@@ -65,9 +65,8 @@ fn run_once(jobs: &[BatchJob], scope: bool) -> (f64, u64, u64) {
             let rates = Arc::clone(&rates);
             let samples = Arc::clone(&samples);
             pressure.push(std::thread::spawn(move || {
-                let started = std::time::Instant::now();
                 while !stop.is_cancelled() {
-                    executor.sample_rates(&rates, started.elapsed().as_micros() as u64);
+                    executor.sample_rates(&rates, octo_sched::stamp());
                     samples.fetch_add(1, Ordering::Relaxed);
                     std::thread::sleep(SAMPLE_INTERVAL);
                 }

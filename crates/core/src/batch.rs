@@ -34,7 +34,7 @@ use octo_ir::Program;
 use octo_obs::{Counter, Gauge, Histogram, MetricsRegistry, Span, SpanObserver};
 use octo_poc::PocFile;
 use octo_sched::{
-    run_jobs, ArtifactCache, CacheStats, CancelToken, Event, EventClock, EventKind, EventSink,
+    run_jobs, stamp, ArtifactCache, CacheStats, CancelToken, Event, EventKind, EventSink,
     SchedStats, Watchdog, WatchdogConfig,
 };
 use octo_serve::VerdictSummary;
@@ -489,11 +489,10 @@ fn verify_with_cache(
 }
 
 /// Bridges pipeline phase spans into the batch event stream (stamped
-/// with the job's submission index, the worker id, and a per-worker
-/// monotonic timestamp) and into the flight recorder as `B`/`E` pairs.
+/// with the job's submission index, the worker id, and the event
+/// clock) and into the flight recorder as `B`/`E` pairs.
 struct SinkSpans<'a> {
     sink: &'a dyn EventSink,
-    clock: &'a EventClock,
     job: usize,
     worker: usize,
 }
@@ -506,7 +505,7 @@ impl SpanObserver for SinkSpans<'_> {
     fn span_finished(&self, name: &'static str, seconds: f64) {
         octo_trace::emit(TraceKind::SpanEnd { name });
         self.sink.emit(Event::new(
-            self.clock.stamp(self.worker),
+            stamp(),
             self.worker,
             EventKind::PhaseFinished {
                 job: self.job,
@@ -738,8 +737,8 @@ fn sync_counter(counter: &Counter, synced: &std::sync::atomic::AtomicU64, curren
 }
 
 /// The long-lived execution substrate a batch (or a service) runs jobs
-/// on: one artifact cache, one metrics registry, one event clock, one
-/// optional watchdog — everything per-*run* that [`run_batch`] used to
+/// on: one artifact cache, one metrics registry, one optional
+/// watchdog — everything per-*run* that [`run_batch`] used to
 /// hold in locals, extracted so a daemon can keep it warm across many
 /// submissions. [`BatchRuntime::run_job`] is the whole per-job story
 /// (trace/fault guards, retry-then-quarantine, cancellation, events,
@@ -750,7 +749,6 @@ pub struct BatchRuntime {
     store: Option<Arc<BlobStore>>,
     metrics: MetricsRegistry,
     recorder: BatchMetrics,
-    clock: EventClock,
     watchdog: Option<Watchdog>,
     options: BatchOptions,
     config: PipelineConfig,
@@ -776,7 +774,7 @@ impl std::fmt::Debug for BatchRuntime {
 
 impl BatchRuntime {
     /// Builds the runtime: registers the full metric schema, spawns the
-    /// watchdog (when configured), starts the event clock.
+    /// watchdog (when configured).
     pub fn new(config: &PipelineConfig, options: &BatchOptions) -> BatchRuntime {
         let metrics = MetricsRegistry::new();
         let recorder = BatchMetrics::register(&metrics);
@@ -793,7 +791,6 @@ impl BatchRuntime {
             store,
             recorder,
             metrics,
-            clock: EventClock::new(options.workers),
             watchdog: options.watchdog.map(Watchdog::spawn),
             options: options.clone(),
             config: config.clone(),
@@ -964,7 +961,7 @@ impl BatchRuntime {
             .map(|plan| Arc::new(JobFaults::new(plan, index as u32)));
         let _faults = faults_ctx.as_ref().map(octo_faults::install);
         sink.emit(Event::new(
-            self.clock.stamp(worker),
+            stamp(),
             worker,
             EventKind::JobStarted {
                 job: index,
@@ -979,7 +976,6 @@ impl BatchRuntime {
         };
         let spans = SinkSpans {
             sink,
-            clock: &self.clock,
             job: index,
             worker,
         };
@@ -1044,11 +1040,11 @@ impl BatchRuntime {
                         backoff_micros: backoff.as_micros() as u64,
                     });
                     // Mirror the retry into the lifecycle event stream so
-                    // watchers (and the HTTP timelines built from the
-                    // daemon's fanout) see each failed attempt with the
-                    // heartbeat count the attempt token accumulated.
+                    // watchers (and the daemon's per-job timelines) see
+                    // each failed attempt with the heartbeat count the
+                    // attempt token accumulated.
                     sink.emit(Event::new(
-                        self.clock.stamp(worker),
+                        stamp(),
                         worker,
                         EventKind::RetryScheduled {
                             job: index,
@@ -1083,13 +1079,13 @@ impl BatchRuntime {
         }
         if cache_hit {
             sink.emit(Event::new(
-                self.clock.stamp(worker),
+                stamp(),
                 worker,
                 EventKind::CacheHit { job: index, key },
             ));
         }
         sink.emit(Event::new(
-            self.clock.stamp(worker),
+            stamp(),
             worker,
             EventKind::JobFinished {
                 job: index,
@@ -1398,12 +1394,10 @@ fine:
             count(&|k| matches!(k, EventKind::PhaseFinished { phase: "p4", .. })),
             2
         );
-        // Every event renders both ways.
         for e in &events {
             assert!(!e.render_human().is_empty());
-            assert!(e.render_json().starts_with('{'));
         }
-        // One worker, one lane: the EventClock stamps must strictly
+        // One worker, one lane: the event-clock stamps must strictly
         // increase in emission order.
         for pair in events.windows(2) {
             assert_eq!(pair[0].worker, 0);

@@ -256,15 +256,10 @@ fn lint_main(argv: &[String]) -> Exit {
     cli::parse_flags(argv, "lint argument", USAGE, |flag, cur| {
         match flag {
             "--canonical" => canonical = true,
-            "--format" => match cur.next_arg() {
-                Some("json") => json = true,
-                Some("human") => json = false,
-                other => {
-                    return Err(format!(
-                        "bad --format `{}` (expected human|json)",
-                        other.unwrap_or("")
-                    ))
-                }
+            "--format" => match cur.value(flag)?.as_str() {
+                "json" => json = true,
+                "human" => json = false,
+                other => return Err(format!("bad --format `{other}` (expected human|json)")),
             },
             _ if !flag.starts_with('-') && path.is_none() => path = Some(flag),
             _ => return Ok(false),
@@ -596,6 +591,9 @@ fn cache_main(argv: &[String]) -> Exit {
     let Some(action) = argv.first().map(String::as_str) else {
         return usage_error("cache needs an action: stats, verify or gc");
     };
+    if matches!(action, "--help" | "-h") {
+        return usage_error("");
+    }
     if !matches!(action, "stats" | "verify" | "gc") {
         return usage_error(&format!("unknown cache action `{action}`"));
     }
@@ -825,7 +823,7 @@ fn parse_client_args(argv: &[String], subcommand: &str) -> Result<ClientArgs, Ex
     let mut args = ClientArgs::default();
     cli::parse_flags(argv, &format!("{subcommand} flag"), USAGE, |flag, cur| {
         match flag {
-            "--id" => args.id = Some(cur.parse(flag)?),
+            "--id" if matches!(subcommand, "status" | "watch") => args.id = Some(cur.parse(flag)?),
             "--metrics-json" if subcommand == "status" => {
                 args.metrics_json = Some(cur.value(flag)?)
             }

@@ -146,9 +146,8 @@ fn main() -> ExitCode {
             let stop = drain.clone();
             let daemon = daemon.clone();
             std::thread::spawn(move || {
-                let started = std::time::Instant::now();
                 while !stop.is_cancelled() && !daemon.finished() {
-                    executor.sample_rates(&rates, started.elapsed().as_micros() as u64);
+                    executor.sample_rates(&rates, octo_sched::stamp());
                     // Sub-second sleeps so shutdown is prompt.
                     for _ in 0..10 {
                         if stop.is_cancelled() || daemon.finished() {

@@ -85,12 +85,13 @@ impl ServeExecutor {
     }
 
     /// Refreshes the derived gauges (cache, uptime, watchdog) and
-    /// snapshots the registry into `recorder` — the octo-scope rate
-    /// sampler calls this on its interval so `/metrics/rates` windows
-    /// reflect live figures.
-    pub fn sample_rates(&self, recorder: &octo_obs::RateRecorder, elapsed_micros: u64) {
+    /// snapshots the registry into `recorder` at `at_us` on the event
+    /// clock ([`octo_sched::stamp`]) — the octo-scope rate sampler
+    /// calls this on its interval so `/metrics/rates` windows reflect
+    /// live figures.
+    pub fn sample_rates(&self, recorder: &octo_obs::RateRecorder, at_us: u64) {
         self.runtime.refresh_metrics();
-        recorder.record(self.runtime.metrics(), elapsed_micros);
+        recorder.record(self.runtime.metrics(), at_us);
     }
 
     /// Conversion errors encountered by workers (empty in healthy

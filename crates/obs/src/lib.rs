@@ -10,10 +10,9 @@
 //!   handles; the record path is lock-free relaxed atomics, so worker
 //!   threads share one registry without contention. Registries (and
 //!   histograms) merge, so per-thread collection also works.
-//! * [`Span`] — an RAII phase timer that records elapsed microseconds
-//!   into a histogram and/or notifies a [`SpanObserver`]. The batch
-//!   layer bridges observers onto `octo_sched::EventSink`, keeping this
-//!   crate dependency-free.
+//! * [`Span`] — an RAII phase timer that reports its elapsed time to a
+//!   [`SpanObserver`]. The batch layer bridges observers onto
+//!   `octo_sched::EventSink`, keeping this crate dependency-free.
 //!
 //! Rendering is deterministic: metrics print sorted by name, as
 //! single-line JSON objects ([`MetricsRegistry::render_json`]) or in

@@ -23,7 +23,8 @@ use crate::registry::{MetricsRegistry, MetricsSnapshot};
 /// monotonic elapsed-time clock.
 #[derive(Debug, Clone)]
 pub struct RateSample {
-    /// Microseconds since the sampler's epoch (process start).
+    /// Microseconds on the sampler's monotonic clock (octopocsd samples
+    /// on the process-wide event clock, `octo_sched::stamp`).
     pub elapsed_micros: u64,
     /// The registry capture at that instant.
     pub snapshot: MetricsSnapshot,
@@ -32,9 +33,9 @@ pub struct RateSample {
 /// The delta between two consecutive samples.
 #[derive(Debug, Clone)]
 pub struct RateWindow {
-    /// Window start, microseconds since the sampler's epoch.
+    /// Window start, microseconds on the sampler's clock.
     pub start_micros: u64,
-    /// Window end, microseconds since the sampler's epoch.
+    /// Window end, microseconds on the sampler's clock.
     pub end_micros: u64,
     /// Counter increments inside the window (zero-delta counters are
     /// omitted; a missing key means "no change").

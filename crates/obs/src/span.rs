@@ -3,14 +3,12 @@
 //! A [`Span`] measures one phase of the pipeline (P1 taint, P2+P3
 //! directed symex, P4 replay). Spans nest by construction order —
 //! starting a span inside another simply times the inner region — and
-//! on finish they can record the elapsed microseconds into a
-//! [`Histogram`] and/or notify a [`SpanObserver`]. The observer hook is
-//! how phase timings reach `octo_sched::EventSink` without this crate
+//! on finish they return the elapsed seconds and notify a
+//! [`SpanObserver`], when one is attached. The observer hook is how
+//! phase timings reach `octo_sched::EventSink` without this crate
 //! depending on the scheduler: the bridge lives with the caller.
 
 use std::time::Instant;
-
-use crate::registry::Histogram;
 
 /// Receives finished-span notifications.
 ///
@@ -37,10 +35,18 @@ impl SpanObserver for NullObserver {
 /// An RAII phase timer.
 ///
 /// ```
-/// use octo_obs::{MetricsRegistry, Span};
+/// use octo_obs::{MetricsRegistry, Span, SpanObserver};
+/// // An observer that records each finished phase into a histogram.
+/// struct PhaseMicros<'a>(&'a octo_obs::Histogram);
+/// impl SpanObserver for PhaseMicros<'_> {
+///     fn span_finished(&self, _name: &'static str, seconds: f64) {
+///         self.0.observe((seconds * 1e6) as u64);
+///     }
+/// }
 /// let reg = MetricsRegistry::new();
 /// let hist = reg.histogram("phase_p1_micros", &[100, 10_000]);
-/// let span = Span::start("p1").with_histogram(&hist);
+/// let observer = PhaseMicros(&hist);
+/// let span = Span::start("p1").with_observer(&observer);
 /// // ... do the phase work ...
 /// let seconds = span.finish();
 /// assert!(seconds >= 0.0);
@@ -50,7 +56,6 @@ impl SpanObserver for NullObserver {
 pub struct Span<'a> {
     name: &'static str,
     start: Instant,
-    histogram: Option<&'a Histogram>,
     observer: Option<&'a dyn SpanObserver>,
     finished: bool,
 }
@@ -61,16 +66,9 @@ impl<'a> Span<'a> {
         Span {
             name,
             start: Instant::now(),
-            histogram: None,
             observer: None,
             finished: false,
         }
-    }
-
-    /// Also record the elapsed time (in microseconds) into `h` on finish.
-    pub fn with_histogram(mut self, h: &'a Histogram) -> Span<'a> {
-        self.histogram = Some(h);
-        self
     }
 
     /// Also notify `obs`: [`SpanObserver::span_started`] now,
@@ -81,7 +79,8 @@ impl<'a> Span<'a> {
         self
     }
 
-    /// Stops the clock, records, and returns the elapsed seconds.
+    /// Stops the clock, notifies the observer, and returns the elapsed
+    /// seconds.
     pub fn finish(mut self) -> f64 {
         self.record()
     }
@@ -91,14 +90,11 @@ impl<'a> Span<'a> {
             return 0.0;
         }
         self.finished = true;
-        let elapsed = self.start.elapsed();
-        if let Some(h) = self.histogram {
-            h.observe(elapsed.as_micros() as u64);
-        }
+        let seconds = self.start.elapsed().as_secs_f64();
         if let Some(obs) = self.observer {
-            obs.span_finished(self.name, elapsed.as_secs_f64());
+            obs.span_finished(self.name, seconds);
         }
-        elapsed.as_secs_f64()
+        seconds
     }
 }
 
@@ -111,7 +107,6 @@ impl Drop for Span<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::registry::MetricsRegistry;
     use std::sync::Mutex;
 
     struct Recorder(Mutex<Vec<(&'static str, f64)>>);
@@ -123,18 +118,14 @@ mod tests {
     }
 
     #[test]
-    fn finish_records_once_into_histogram_and_observer() {
-        let reg = MetricsRegistry::new();
-        let h = reg.histogram("t", &[1_000_000]);
+    fn finish_records_once_into_the_observer() {
         let rec = Recorder(Mutex::new(Vec::new()));
-        let span = Span::start("p2").with_histogram(&h).with_observer(&rec);
+        let span = Span::start("p2").with_observer(&rec);
         let secs = span.finish();
         assert!(secs >= 0.0);
-        assert_eq!(h.count(), 1);
         let seen = rec.0.lock().unwrap();
         assert_eq!(seen.len(), 1, "finish + drop must not double-record");
-        assert_eq!(seen[0].0, "p2");
-        assert!(seen[0].1 >= 0.0);
+        assert_eq!(seen[0], ("p2", secs));
     }
 
     #[test]
@@ -164,15 +155,13 @@ mod tests {
 
     #[test]
     fn spans_nest_by_scope() {
-        let reg = MetricsRegistry::new();
-        let outer_h = reg.histogram("outer", &[]);
-        let inner_h = reg.histogram("inner", &[]);
-        let outer = Span::start("outer").with_histogram(&outer_h);
-        let inner = Span::start("inner").with_histogram(&inner_h);
+        let rec = Recorder(Mutex::new(Vec::new()));
+        let outer = Span::start("outer").with_observer(&rec);
+        let inner = Span::start("inner").with_observer(&rec);
         let inner_secs = inner.finish();
         let outer_secs = outer.finish();
         assert!(outer_secs >= inner_secs, "outer span covers the inner one");
-        assert_eq!(outer_h.count(), 1);
-        assert_eq!(inner_h.count(), 1);
+        let names: Vec<&str> = rec.0.lock().unwrap().iter().map(|(n, _)| *n).collect();
+        assert_eq!(names, ["inner", "outer"], "inner finishes first");
     }
 }

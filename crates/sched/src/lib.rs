@@ -31,9 +31,9 @@
 //!
 //! A structured [`Event`] stream (job started / phase finished / cache
 //! hit / job done, with per-phase wall times) makes batch progress
-//! observable either as human log lines or as JSON lines; any
-//! `Fn(Event) + Sync` closure is an [`EventSink`], and [`EventLog`]
-//! collects events for later inspection.
+//! observable; every event is stamped on one process-wide clock
+//! ([`stamp`]). Any `Fn(Event) + Sync` closure is an [`EventSink`], and
+//! [`EventLog`] collects events for later inspection.
 #![warn(missing_docs)]
 
 pub mod cache;
@@ -45,7 +45,7 @@ pub mod watchdog;
 
 pub use cache::{ArtifactCache, CacheStats};
 pub use cancel::CancelToken;
-pub use events::{Event, EventClock, EventKind, EventLog, EventSink, FanoutSink, NullSink};
+pub use events::{stamp, Event, EventKind, EventLog, EventSink, NullSink};
 pub use scheduler::{run_jobs, JobPanic, SchedStats};
 pub use signals::{drain_signal_count, install_drain_signals};
 pub use watchdog::{WatchGuard, Watchdog, WatchdogConfig};

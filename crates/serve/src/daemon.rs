@@ -1,33 +1,41 @@
 //! The octopocsd core: a durable, priority-scheduled job queue.
 //!
 //! The daemon is engine-agnostic — it owns admission control, the
-//! journal, the two priority queues, the worker pool, and the event
-//! fan-out, and delegates the actual (S, T, poc, ℓ) verification to a
-//! [`JobExecutor`] supplied by the embedder (the `octopocs` core crate
-//! wires in its batch runtime; tests wire in stubs). That keeps this
-//! crate free of a dependency on the pipeline while letting the daemon
-//! and the one-shot `batch` subcommand share one execution path.
+//! journal, the two priority queues, the worker pool, and the job table
+//! that holds each job's history, and delegates the actual
+//! (S, T, poc, ℓ) verification to a [`JobExecutor`] supplied by the
+//! embedder (the `octopocs` core crate wires in its batch runtime;
+//! tests wire in stubs). That keeps this crate free of a dependency on
+//! the pipeline while letting the daemon and the one-shot `batch`
+//! subcommand share one execution path.
 //!
 //! Lifecycle: jobs are journaled *before* they are enqueued and their
 //! verdicts journaled when they finish; a job cut short by shutdown is
 //! journaled as submitted but never as finished, so a restart on the
 //! same journal resubmits it under its original id and the run
 //! converges to the verdicts an uninterrupted run would have produced.
+//!
+//! Progress: each job's record in the table is the only copy of its
+//! history. Admission, worker pickup and the final transition are
+//! stamped on the process-wide event clock ([`octo_sched::stamp`]), and
+//! the executor's events — already stamped on that clock — are appended
+//! to the record as they arrive. `/jobs/<id>` ([`Daemon::timeline`]) and
+//! `watch` ([`Daemon::watch`]) both read that record.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use octo_obs::{Counter, Gauge, Histogram, MetricsRegistry};
-use octo_sched::{Event, EventSink, FanoutSink};
+use octo_sched::{stamp, Event, EventKind, EventSink};
 
 use crate::journal::{Journal, Replay};
 use crate::proto::{
     JobPhase, JobSpec, JobStatus, Priority, QueueStatus, Response, ResultRow, VerdictSummary,
     WireEvent,
 };
-use crate::timeline::TimelineStore;
+use crate::timeline::{JobTimeline, TimelineStep, MAX_STEPS_PER_JOB};
 
 /// Queue-wait histogram bounds, microseconds. Shared with the batch
 /// metrics registration in the core crate — the registry asserts that
@@ -126,12 +134,68 @@ pub enum SubmitError {
     Invalid(String),
 }
 
+/// One job's entry in the table: its spec, where it stands, and its
+/// history on the event clock.
 struct JobRecord {
     spec: JobSpec,
     phase: JobPhase,
     verdict: Option<VerdictSummary>,
     post_mortem: Option<String>,
-    queued_at: Instant,
+    submitted_us: u64,
+    picked_up_us: Option<u64>,
+    finished_us: Option<u64>,
+    /// The executor's events for this job, at most [`MAX_STEPS_PER_JOB`].
+    steps: Vec<TimelineStep>,
+    /// Events past the cap, counted instead of stored.
+    dropped_steps: u64,
+}
+
+impl JobRecord {
+    /// A record admitted now.
+    fn admitted(spec: JobSpec) -> JobRecord {
+        JobRecord {
+            spec,
+            phase: JobPhase::Queued,
+            verdict: None,
+            post_mortem: None,
+            submitted_us: stamp(),
+            picked_up_us: None,
+            finished_us: None,
+            steps: Vec::new(),
+            dropped_steps: 0,
+        }
+    }
+
+    fn status(&self, id: u64) -> JobStatus {
+        JobStatus {
+            id,
+            name: self.spec.name.clone(),
+            priority: self.spec.priority,
+            phase: self.phase,
+            verdict: self.verdict.clone(),
+            post_mortem: self.post_mortem.clone(),
+        }
+    }
+
+    fn timeline(&self, id: u64) -> JobTimeline {
+        let outcome = match self.phase {
+            JobPhase::Done => self.verdict.as_ref().map(|v| v.verdict.clone()),
+            JobPhase::Interrupted => Some("interrupted".to_string()),
+            JobPhase::Queued | JobPhase::Running => None,
+        };
+        JobTimeline {
+            id,
+            name: self.spec.name.clone(),
+            priority: self.spec.priority,
+            phase: self.phase,
+            submitted_us: self.submitted_us,
+            picked_up_us: self.picked_up_us,
+            finished_us: self.finished_us,
+            outcome,
+            steps: self.steps.clone(),
+            dropped_steps: self.dropped_steps,
+        }
+    }
 }
 
 #[derive(Default)]
@@ -158,7 +222,7 @@ impl State {
     }
 }
 
-/// The daemon: admission, queueing, workers, journal, fan-out.
+/// The daemon: admission, queueing, workers, journal, job table.
 pub struct Daemon {
     executor: Arc<dyn JobExecutor>,
     journal: Option<Journal>,
@@ -168,9 +232,7 @@ pub struct Daemon {
     work: Condvar,
     /// Signalled when a job finishes (drain/join waits on it).
     idle: Condvar,
-    fanout: Arc<FanoutSink>,
     metrics: ServeMetrics,
-    timelines: Arc<TimelineStore>,
 }
 
 impl Daemon {
@@ -183,12 +245,6 @@ impl Daemon {
         capacity: usize,
     ) -> Arc<Daemon> {
         let metrics = ServeMetrics::register(executor.registry());
-        let fanout = Arc::new(FanoutSink::new());
-        let timelines = Arc::new(TimelineStore::new());
-        // The timeline store mirrors the scheduler's event stream for
-        // the life of the daemon (watch subscribers come and go beside
-        // it on the same fan-out).
-        fanout.subscribe(timelines.clone());
         Arc::new(Daemon {
             executor,
             journal,
@@ -199,9 +255,7 @@ impl Daemon {
             }),
             work: Condvar::new(),
             idle: Condvar::new(),
-            fanout,
             metrics,
-            timelines,
         })
     }
 
@@ -210,33 +264,23 @@ impl Daemon {
     pub fn restore(&self, replay: Replay) {
         let mut state = self.state.lock().expect("daemon state poisoned");
         for (id, spec) in replay.jobs {
-            let verdict = replay.verdicts.get(&id).cloned();
-            self.timelines
-                .record_submitted(id, &spec.name, spec.priority);
-            let phase = if let Some(done) = &verdict {
+            // A replayed job re-enters the table now, so its history
+            // restarts here.
+            let mut record = JobRecord::admitted(spec);
+            if let Some(done) = replay.verdicts.get(&id) {
                 // A restored verdict has no live history; its timeline
                 // is just the restored outcome.
-                self.timelines
-                    .record_finished(id, JobPhase::Done, &done.verdict);
-                JobPhase::Done
+                record.phase = JobPhase::Done;
+                record.verdict = Some(done.clone());
+                record.finished_us = Some(stamp());
             } else {
-                match spec.priority {
+                match record.spec.priority {
                     Priority::Interactive => state.interactive.push_back(id),
                     Priority::Bulk => state.bulk.push_back(id),
                 }
                 self.metrics.replays.inc();
-                JobPhase::Queued
-            };
-            state.jobs.insert(
-                id,
-                JobRecord {
-                    spec,
-                    phase,
-                    verdict,
-                    post_mortem: None,
-                    queued_at: Instant::now(),
-                },
-            );
+            }
+            state.jobs.insert(id, record);
             state.next_id = state.next_id.max(id + 1);
         }
         self.metrics.set_queue_depth(&state);
@@ -272,17 +316,19 @@ impl Daemon {
                         .or_else(|| state.bulk.pop_front())
                     {
                         let record = state.jobs.get_mut(&id).expect("queued job exists");
+                        let picked_up = stamp();
                         record.phase = JobPhase::Running;
-                        state.running += 1;
-                        self.metrics.set_queue_depth(&state);
-                        self.timelines.record_picked_up(id);
-                        let record = state.jobs.get(&id).expect("queued job exists");
-                        let wait = record.queued_at.elapsed().as_micros() as u64;
-                        self.metrics.queue_wait.observe(wait);
-                        break ExecJob {
+                        record.picked_up_us = Some(picked_up);
+                        self.metrics
+                            .queue_wait
+                            .observe(picked_up - record.submitted_us);
+                        let job = ExecJob {
                             id,
                             spec: record.spec.clone(),
                         };
+                        state.running += 1;
+                        self.metrics.set_queue_depth(&state);
+                        break job;
                     }
                     if state.draining {
                         // Nothing queued and no more admissions: done.
@@ -295,20 +341,17 @@ impl Daemon {
                     state = next;
                 }
             };
-            let outcome = self.executor.run(&job, worker, self.fanout.as_ref());
+            let outcome = self.executor.run(&job, worker, &RecordSink(self));
             let mut state = self.state.lock().expect("daemon state poisoned");
             state.running -= 1;
             let record = state.jobs.get_mut(&job.id).expect("running job exists");
+            record.finished_us = Some(stamp());
             if outcome.cancelled {
                 record.phase = JobPhase::Interrupted;
-                self.timelines
-                    .record_finished(job.id, JobPhase::Interrupted, "interrupted");
             } else {
                 record.phase = JobPhase::Done;
                 record.verdict = Some(outcome.verdict.clone());
                 record.post_mortem = outcome.post_mortem;
-                self.timelines
-                    .record_finished(job.id, JobPhase::Done, &outcome.verdict.verdict);
                 if let Some(journal) = &self.journal {
                     if let Err(e) = journal.record_verdict(job.id, &outcome.verdict) {
                         eprintln!("octopocsd: {e}");
@@ -348,18 +391,7 @@ impl Daemon {
             Priority::Interactive => state.interactive.push_back(id),
             Priority::Bulk => state.bulk.push_back(id),
         }
-        self.timelines
-            .record_submitted(id, &spec.name, spec.priority);
-        state.jobs.insert(
-            id,
-            JobRecord {
-                spec,
-                phase: JobPhase::Queued,
-                verdict: None,
-                post_mortem: None,
-                queued_at: Instant::now(),
-            },
-        );
+        state.jobs.insert(id, JobRecord::admitted(spec));
         self.metrics.admissions.inc();
         self.metrics.set_queue_depth(&state);
         drop(state);
@@ -383,14 +415,7 @@ impl Daemon {
     /// One job's status, or `None` for unknown ids.
     pub fn job_status(&self, id: u64) -> Option<JobStatus> {
         let state = self.state.lock().expect("daemon state poisoned");
-        state.jobs.get(&id).map(|j| JobStatus {
-            id,
-            name: j.spec.name.clone(),
-            priority: j.spec.priority,
-            phase: j.phase,
-            verdict: j.verdict.clone(),
-            post_mortem: j.post_mortem.clone(),
-        })
+        state.jobs.get(&id).map(|j| j.status(id))
     }
 
     /// Finished verdicts in id (= submission) order.
@@ -413,18 +438,7 @@ impl Daemon {
     /// queue + in-flight + completed listing behind `GET /jobs`.
     pub fn jobs(&self) -> Vec<JobStatus> {
         let state = self.state.lock().expect("daemon state poisoned");
-        state
-            .jobs
-            .iter()
-            .map(|(id, j)| JobStatus {
-                id: *id,
-                name: j.spec.name.clone(),
-                priority: j.spec.priority,
-                phase: j.phase,
-                verdict: j.verdict.clone(),
-                post_mortem: j.post_mortem.clone(),
-            })
-            .collect()
+        state.jobs.iter().map(|(id, j)| j.status(*id)).collect()
     }
 
     /// The executor's metrics rendering.
@@ -438,55 +452,67 @@ impl Daemon {
         self.executor.metrics_prometheus()
     }
 
-    /// The live per-job timeline table.
-    pub fn timelines(&self) -> &Arc<TimelineStore> {
-        &self.timelines
+    /// One job's timeline (the `/jobs/<id>` view of its record), or
+    /// `None` for unknown ids.
+    pub fn timeline(&self, id: u64) -> Option<JobTimeline> {
+        let state = self.state.lock().expect("daemon state poisoned");
+        state.jobs.get(&id).map(|j| j.timeline(id))
     }
 
-    /// Streams `id`'s live events into `deliver` until the job
-    /// finishes, then delivers the terminal `done` (or `error`) line.
-    /// `deliver` returning `Err` (the peer hung up) detaches quietly.
+    /// Streams `id`'s events into `deliver` from the moment of the call
+    /// until the job finishes, then delivers the terminal `done` (or
+    /// `error`) line. `deliver` returning `Err` (the peer hung up)
+    /// detaches quietly.
     pub fn watch(
         &self,
         id: u64,
         deliver: &mut dyn FnMut(&Response) -> Result<(), String>,
     ) -> Result<(), String> {
-        struct BufferSink {
-            job: u64,
-            buf: Mutex<Vec<Event>>,
-        }
-        impl EventSink for BufferSink {
-            fn emit(&self, event: Event) {
-                if event.job() as u64 == self.job {
-                    self.buf.lock().expect("watch buffer poisoned").push(event);
-                }
-            }
-        }
-
-        if self.job_status(id).is_none() {
-            return deliver(&Response::Error {
+        match self.watch_cursor(id) {
+            Some(cursor) => self.watch_from(id, cursor, deliver),
+            None => deliver(&Response::Error {
                 message: format!("unknown job id {id}"),
-            });
+            }),
         }
-        let sink = Arc::new(BufferSink {
-            job: id,
-            buf: Mutex::new(Vec::new()),
-        });
-        let sub = self.fanout.subscribe(sink.clone());
-        let result = (|| loop {
-            let pending: Vec<Event> =
-                std::mem::take(&mut *sink.buf.lock().expect("watch buffer poisoned"));
-            for event in &pending {
-                deliver(&Response::Event(WireEvent::from_event(event)))?;
+    }
+
+    /// Where a watch attaching to `id` now starts: the number of steps
+    /// its record holds. `None` for unknown ids.
+    fn watch_cursor(&self, id: u64) -> Option<usize> {
+        let state = self.state.lock().expect("daemon state poisoned");
+        state.jobs.get(&id).map(|j| j.steps.len())
+    }
+
+    /// Delivers `id`'s steps from index `cursor` on, polling the record
+    /// until the job ends. Steps and phase are read under one lock, so
+    /// a finished job's last events always precede its `done`.
+    fn watch_from(
+        &self,
+        id: u64,
+        mut cursor: usize,
+        deliver: &mut dyn FnMut(&Response) -> Result<(), String>,
+    ) -> Result<(), String> {
+        loop {
+            let (events, status) = {
+                let state = self.state.lock().expect("daemon state poisoned");
+                let record = state.jobs.get(&id).expect("watched job exists");
+                let events: Vec<WireEvent> = record.steps[cursor..]
+                    .iter()
+                    .map(|step| WireEvent {
+                        job: id,
+                        worker: step.worker,
+                        ts_us: step.at_us,
+                        kind: step.kind.clone(),
+                    })
+                    .collect();
+                cursor = record.steps.len();
+                (events, record.status(id))
+            };
+            for event in events {
+                deliver(&Response::Event(event))?;
             }
-            let status = self.job_status(id).expect("watched job exists");
             match status.phase {
                 JobPhase::Done => {
-                    let drained: Vec<Event> =
-                        std::mem::take(&mut *sink.buf.lock().expect("watch buffer poisoned"));
-                    for event in &drained {
-                        deliver(&Response::Event(WireEvent::from_event(event)))?;
-                    }
                     return deliver(&Response::Done {
                         id,
                         verdict: status.verdict.expect("done job has a verdict"),
@@ -501,9 +527,7 @@ impl Daemon {
                     std::thread::sleep(Duration::from_millis(20));
                 }
             }
-        })();
-        self.fanout.unsubscribe(sub);
-        result
+        }
     }
 
     /// Stops admissions; queued work still runs. Returns the number of
@@ -548,11 +572,6 @@ impl Daemon {
         }
     }
 
-    /// The event fan-out every executor run emits into.
-    pub fn fanout(&self) -> &Arc<FanoutSink> {
-        &self.fanout
-    }
-
     /// Compacts the journal (if one is attached) down to the jobs a
     /// restart would actually resubmit: everything finished is
     /// dropped, everything queued/running/interrupted is rewritten as
@@ -571,6 +590,31 @@ impl Daemon {
         let kept = incomplete.len() as u64;
         drop(state);
         Some(journal.compact(&incomplete).map(|()| kept))
+    }
+}
+
+/// The sink the daemon hands its executor: each event is appended to
+/// its job's record under the state lock, as a step stamped with the
+/// event's own `ts_micros`. Past [`MAX_STEPS_PER_JOB`] steps a record
+/// counts further events in `dropped_steps`. Events for ids the daemon
+/// never admitted are dropped.
+struct RecordSink<'a>(&'a Daemon);
+
+impl EventSink for RecordSink<'_> {
+    fn emit(&self, event: Event) {
+        let wire = WireEvent::from_event(&event);
+        let mut state = self.0.state.lock().expect("daemon state poisoned");
+        if let Some(record) = state.jobs.get_mut(&wire.job) {
+            if record.steps.len() >= MAX_STEPS_PER_JOB {
+                record.dropped_steps += 1;
+            } else {
+                record.steps.push(TimelineStep {
+                    at_us: wire.ts_us,
+                    worker: wire.worker,
+                    kind: wire.kind,
+                });
+            }
+        }
     }
 }
 
@@ -596,7 +640,9 @@ fn validate_spec(spec: &JobSpec) -> Result<(), String> {
 }
 
 /// A trivial executor for tests: records calls, returns canned
-/// verdicts, optionally blocks until released.
+/// verdicts, optionally blocks until released. Each job emits what a
+/// once-retried job does: `started` and a `prepare` phase, then (after
+/// the gate, when there is one) a `retry` and `finished`.
 pub struct StubExecutor {
     registry: MetricsRegistry,
     /// Job names executed, in execution order.
@@ -636,7 +682,18 @@ impl StubExecutor {
 }
 
 impl JobExecutor for StubExecutor {
-    fn run(&self, job: &ExecJob, _worker: usize, _sink: &dyn EventSink) -> ExecOutcome {
+    fn run(&self, job: &ExecJob, worker: usize, sink: &dyn EventSink) -> ExecOutcome {
+        let index = job.id as usize;
+        let emit = |kind| sink.emit(Event::new(stamp(), worker, kind));
+        emit(EventKind::JobStarted {
+            job: index,
+            name: job.spec.name.clone(),
+        });
+        emit(EventKind::PhaseFinished {
+            job: index,
+            phase: "prepare",
+            seconds: 0.001,
+        });
         self.executed
             .lock()
             .expect("executed poisoned")
@@ -650,13 +707,24 @@ impl JobExecutor for StubExecutor {
                 open = next;
             }
         }
+        emit(EventKind::RetryScheduled {
+            job: index,
+            attempt: 1,
+            backoff_micros: 1_000,
+            beats: 3,
+        });
+        emit(EventKind::JobFinished {
+            job: index,
+            outcome: "Type-I".to_string(),
+            seconds: 0.002,
+        });
         let cancelled = self.cancelled.load(Ordering::Acquire);
         ExecOutcome {
             verdict: VerdictSummary {
                 verdict: "Type-I".to_string(),
                 poc_generated: true,
                 verified: true,
-                attempts: 1,
+                attempts: 2,
                 quarantined: false,
             },
             post_mortem: None,
@@ -871,28 +939,173 @@ mod tests {
         assert_eq!(reg.get_gauge("serve_queue_depth_bulk").unwrap().get(), 0);
     }
 
-    #[test]
-    fn daemon_assembles_timelines_for_submitted_jobs() {
-        let daemon = Daemon::new(Arc::new(StubExecutor::immediate()), None, 8);
-        daemon.submit(spec("traced", Priority::Bulk)).unwrap();
-        let workers = daemon.start_workers(1);
+    /// Drains the daemon and joins its workers.
+    fn finish(daemon: &Daemon, workers: Vec<std::thread::JoinHandle<()>>) {
         daemon.wait_idle();
         daemon.drain();
         for w in workers {
             w.join().unwrap();
         }
-        let t = daemon.timelines().timeline(1).expect("timeline exists");
+    }
+
+    /// Every response of a watch from step `cursor` on.
+    fn watch_from(daemon: &Daemon, id: u64, cursor: usize) -> Vec<Response> {
+        let mut seen = Vec::new();
+        daemon
+            .watch_from(id, cursor, &mut |resp| {
+                seen.push(resp.clone());
+                Ok(())
+            })
+            .unwrap();
+        seen
+    }
+
+    #[test]
+    fn daemon_assembles_timelines_for_submitted_jobs() {
+        let daemon = Daemon::new(Arc::new(StubExecutor::immediate()), None, 8);
+        daemon.submit(spec("traced", Priority::Bulk)).unwrap();
+        let workers = daemon.start_workers(1);
+        finish(&daemon, workers);
+        let t = daemon.timeline(1).expect("timeline exists");
         assert_eq!(t.name, "traced");
         assert_eq!(t.phase, JobPhase::Done);
         assert_eq!(t.outcome.as_deref(), Some("Type-I"));
-        let picked = t.picked_up_us.expect("picked up");
-        let finished = t.finished_us.expect("finished");
-        assert!(t.submitted_us < picked && picked < finished);
-        assert_eq!(t.queue_wait_us(), Some(picked - t.submitted_us));
+        let labels: Vec<&str> = t
+            .steps
+            .iter()
+            .map(|s| s.kind.label_and_fields().0)
+            .collect();
+        assert_eq!(labels, ["started", "phase", "retry", "finished"]);
+        assert_eq!(t.attempts().len(), 2, "one retry, two attempts");
         // The daemon's /jobs listing mirrors the job table.
         let jobs = daemon.jobs();
         assert_eq!(jobs.len(), 1);
         assert_eq!(jobs[0].phase, JobPhase::Done);
+    }
+
+    #[test]
+    fn lifecycle_stamps_are_strictly_monotonic() {
+        let daemon = Daemon::new(Arc::new(StubExecutor::immediate()), None, 8);
+        daemon.submit(spec("job-a", Priority::Bulk)).unwrap();
+        let workers = daemon.start_workers(1);
+        finish(&daemon, workers);
+        let t = daemon.timeline(1).unwrap();
+        let mut stamps = vec![t.submitted_us, t.picked_up_us.unwrap()];
+        stamps.extend(t.steps.iter().map(|s| s.at_us));
+        stamps.push(t.finished_us.unwrap());
+        assert!(
+            stamps.windows(2).all(|w| w[0] < w[1]),
+            "timeline stamps must strictly increase: {stamps:?}"
+        );
+        assert_eq!(
+            t.queue_wait_us(),
+            Some(t.picked_up_us.unwrap() - t.submitted_us)
+        );
+    }
+
+    #[test]
+    fn watch_stamps_equal_timeline_stamps_and_queue_wait_is_one_interval() {
+        let executor = Arc::new(StubExecutor::immediate());
+        let daemon = Daemon::new(executor.clone(), None, 8);
+        daemon.submit(spec("stamped", Priority::Bulk)).unwrap();
+        // Attached while queued: the watch sees every event of the job.
+        let cursor = daemon.watch_cursor(1).unwrap();
+        assert_eq!(cursor, 0);
+        let workers = daemon.start_workers(1);
+        let seen = watch_from(&daemon, 1, cursor);
+        finish(&daemon, workers);
+        let t = daemon.timeline(1).unwrap();
+        let events: Vec<&WireEvent> = seen
+            .iter()
+            .filter_map(|r| match r {
+                Response::Event(e) => Some(e),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(events.len(), t.steps.len());
+        for (event, step) in events.iter().zip(&t.steps) {
+            assert_eq!(event.ts_us, step.at_us, "watch ts_us is the step's at_us");
+            assert_eq!(event.kind, step.kind);
+            assert_eq!(event.job, 1);
+        }
+        assert!(matches!(seen.last(), Some(Response::Done { id: 1, .. })));
+        let wait = executor
+            .registry()
+            .get_histogram("serve_queue_wait_micros")
+            .unwrap();
+        assert_eq!(wait.count(), 1);
+        assert_eq!(Some(wait.sum()), t.queue_wait_us());
+    }
+
+    #[test]
+    fn watch_attached_mid_job_gets_exactly_the_later_events() {
+        let executor = Arc::new(StubExecutor::gated());
+        let daemon = Daemon::new(executor.clone(), None, 8);
+        daemon.submit(spec("midway", Priority::Bulk)).unwrap();
+        let workers = daemon.start_workers(1);
+        // The gated job has emitted `started` and `prepare` and waits.
+        while executor.executed.lock().unwrap().is_empty() {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        let cursor = daemon.watch_cursor(1).unwrap();
+        assert_eq!(cursor, 2);
+        let watcher = {
+            let daemon = Arc::clone(&daemon);
+            std::thread::spawn(move || watch_from(&daemon, 1, cursor))
+        };
+        executor.release();
+        let seen = watcher.join().unwrap();
+        finish(&daemon, workers);
+        let labels: Vec<&str> = seen
+            .iter()
+            .map(|r| match r {
+                Response::Event(e) => e.kind.label_and_fields().0,
+                Response::Done { .. } => "done",
+                _ => "other",
+            })
+            .collect();
+        assert_eq!(labels, ["retry", "finished", "done"]);
+    }
+
+    #[test]
+    fn queued_jobs_have_no_attempts_and_unknown_jobs_drop_events() {
+        let daemon = Daemon::new(Arc::new(StubExecutor::immediate()), None, 8);
+        daemon.submit(spec("waiting", Priority::Bulk)).unwrap();
+        let t = daemon.timeline(1).unwrap();
+        assert_eq!(t.phase, JobPhase::Queued);
+        assert!(t.attempts().is_empty());
+        assert!(t.render_json().contains("\"queue_wait_us\":null"));
+        // An event for an id never admitted is ignored, not a panic.
+        RecordSink(&daemon).emit(Event::new(
+            stamp(),
+            0,
+            EventKind::CacheHit { job: 99, key: 0xAB },
+        ));
+        assert!(daemon.timeline(99).is_none());
+        assert_eq!(daemon.jobs().len(), 1);
+        assert!(daemon.timeline(1).unwrap().steps.is_empty());
+    }
+
+    #[test]
+    fn step_cap_counts_drops_instead_of_growing() {
+        let daemon = Daemon::new(Arc::new(StubExecutor::immediate()), None, 8);
+        daemon.submit(spec("storm", Priority::Bulk)).unwrap();
+        let sink = RecordSink(&daemon);
+        let stamps: Vec<u64> = (0..(MAX_STEPS_PER_JOB + 10)).map(|_| stamp()).collect();
+        for &ts in &stamps {
+            sink.emit(Event::new(ts, 0, EventKind::CacheHit { job: 1, key: 1 }));
+        }
+        let t = daemon.timeline(1).unwrap();
+        assert_eq!(t.steps.len(), MAX_STEPS_PER_JOB);
+        assert_eq!(t.dropped_steps, 10);
+        let kept: Vec<u64> = t.steps.iter().map(|s| s.at_us).collect();
+        assert_eq!(
+            kept,
+            stamps[..MAX_STEPS_PER_JOB],
+            "a step keeps its event's stamp"
+        );
+        // The cap bounds a watcher too: one attached now sees no step.
+        assert_eq!(daemon.watch_cursor(1), Some(MAX_STEPS_PER_JOB));
     }
 
     #[test]

@@ -14,8 +14,8 @@
 //!   core crate plugs its pipeline into.
 //! - [`server`]: the socket accept loop and capped line reader.
 //! - [`client`]: the connection type the CLI subcommands drive.
-//! - [`timeline`]: per-job timelines (submit → queue wait → attempts →
-//!   phase spans) assembled from the daemon's own event stream.
+//! - [`timeline`]: the per-job timeline view (submit → queue wait →
+//!   attempts → phase spans) of a record in the daemon's job table.
 //! - [`http`]: octo-scope, the read-only HTTP/1.1 observability plane
 //!   (`/healthz`, `/metrics`, `/metrics/rates`, `/jobs`, `/jobs/<id>`).
 //!
@@ -43,4 +43,4 @@ pub use proto::{
     VerdictSummary, WireEvent, WireEventKind, MAX_LINE_BYTES,
 };
 pub use server::{handle_connection, serve, ServerConfig};
-pub use timeline::{AttemptSpan, JobTimeline, TimelineStep, TimelineStore};
+pub use timeline::{AttemptSpan, JobTimeline, TimelineStep};

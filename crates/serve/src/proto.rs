@@ -168,7 +168,8 @@ pub struct WireEvent {
     pub job: u64,
     /// Worker lane that emitted it.
     pub worker: u64,
-    /// Per-worker monotonic stamp, microseconds.
+    /// The event's stamp on the process-wide event clock,
+    /// microseconds (equal to the `at_us` of its `/jobs/<id>` step).
     pub ts_us: u64,
     /// What happened.
     pub kind: WireEventKind,
@@ -212,6 +213,39 @@ pub enum WireEventKind {
     },
 }
 
+impl WireEventKind {
+    /// The kind's label and its own fields as JSON members, each led by
+    /// a comma, in wire order. The label is an `event` line's `kind` and
+    /// a `/jobs/<id>` step's `step`; both render the fields the same way.
+    pub fn label_and_fields(&self) -> (&'static str, String) {
+        match self {
+            WireEventKind::Started { name } => {
+                ("started", format!(",\"name\":\"{}\"", json_escape(name)))
+            }
+            WireEventKind::Phase { phase, micros } => (
+                "phase",
+                format!(",\"phase\":\"{}\",\"micros\":{micros}", json_escape(phase)),
+            ),
+            WireEventKind::CacheHit { key } => ("cache_hit", format!(",\"key\":\"{key:016x}\"")),
+            WireEventKind::Finished { outcome, micros } => (
+                "finished",
+                format!(
+                    ",\"outcome\":\"{}\",\"micros\":{micros}",
+                    json_escape(outcome)
+                ),
+            ),
+            WireEventKind::Retry {
+                attempt,
+                backoff_us,
+                beats,
+            } => (
+                "retry",
+                format!(",\"attempt\":{attempt},\"backoff_us\":{backoff_us},\"beats\":{beats}"),
+            ),
+        }
+    }
+}
+
 impl WireEvent {
     /// Converts a scheduler event (f64 seconds, usize ids) into its wire
     /// form.
@@ -250,35 +284,11 @@ impl WireEvent {
     }
 
     fn render(&self) -> String {
-        let head = format!(
-            "\"job\":{},\"worker\":{},\"ts_us\":{}",
+        let (label, fields) = self.kind.label_and_fields();
+        format!(
+            "\"kind\":\"{label}\",\"job\":{},\"worker\":{},\"ts_us\":{}{fields}",
             self.job, self.worker, self.ts_us
-        );
-        match &self.kind {
-            WireEventKind::Started { name } => format!(
-                "\"kind\":\"started\",{head},\"name\":\"{}\"",
-                json_escape(name)
-            ),
-            WireEventKind::Phase { phase, micros } => format!(
-                "\"kind\":\"phase\",{head},\"phase\":\"{}\",\"micros\":{micros}",
-                json_escape(phase)
-            ),
-            WireEventKind::CacheHit { key } => {
-                format!("\"kind\":\"cache_hit\",{head},\"key\":\"{key:016x}\"")
-            }
-            WireEventKind::Finished { outcome, micros } => format!(
-                "\"kind\":\"finished\",{head},\"outcome\":\"{}\",\"micros\":{micros}",
-                json_escape(outcome)
-            ),
-            WireEventKind::Retry {
-                attempt,
-                backoff_us,
-                beats,
-            } => format!(
-                "\"kind\":\"retry\",{head},\"attempt\":{attempt},\"backoff_us\":{backoff_us},\
-                 \"beats\":{beats}"
-            ),
-        }
+        )
     }
 
     fn parse(v: &JsonValue) -> Result<WireEvent, String> {

@@ -9,7 +9,7 @@
 //! the kind-specific payload, so the full flight record survives the
 //! conversion.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 use octo_codec::{parse_json, JsonValue};
 
@@ -152,7 +152,8 @@ pub struct ChromeStats {
 
 /// Checks a [`render_chrome`] document: strict JSON with a
 /// `traceEvents` array, known event names only, non-negative
-/// timestamps, every lane's `B`/`E` events balanced (LIFO, matching
+/// timestamps that never go backwards within a lane (document order is
+/// sequence order), every lane's `B`/`E` events balanced (LIFO, matching
 /// names, `E.ts >= B.ts`) with nothing left open. Returns counts on
 /// success, the first problem found on failure.
 pub fn validate(text: &str) -> Result<ChromeStats, String> {
@@ -162,7 +163,8 @@ pub fn validate(text: &str) -> Result<ChromeStats, String> {
         .and_then(JsonValue::as_array)
         .ok_or("missing traceEvents envelope")?;
     let mut stats = ChromeStats::default();
-    let mut lanes: BTreeSet<i64> = BTreeSet::new();
+    // tid -> the lane's latest ts so far.
+    let mut lanes: BTreeMap<i64, i64> = BTreeMap::new();
     // tid -> stack of (name, ts) for open B events.
     let mut open: Vec<(i64, &str, i64)> = Vec::new();
     for (i, event) in events.iter().enumerate() {
@@ -185,7 +187,6 @@ pub fn validate(text: &str) -> Result<ChromeStats, String> {
         if !KNOWN_EVENT_NAMES.contains(&name) {
             return Err(at(format!("unknown event name {name:?}")));
         }
-        lanes.insert(tid);
         stats.events += 1;
         match ph {
             "B" => open.push((tid, name, ts)),
@@ -211,6 +212,13 @@ pub fn validate(text: &str) -> Result<ChromeStats, String> {
             }
             other => return Err(at(format!("unknown phase {other:?}"))),
         }
+        let last = lanes.entry(tid).or_insert(ts);
+        if ts < *last {
+            return Err(at(format!(
+                "ts {ts} on tid {tid} goes backwards from {last}"
+            )));
+        }
+        *last = ts;
     }
     if let Some((tid, name, _)) = open.first() {
         return Err(format!("unclosed B {name:?} on tid {tid}"));
@@ -310,5 +318,26 @@ mod tests {
                    {\"name\":\"symex\",\"ph\":\"E\",\"pid\":1,\"tid\":0,\"ts\":3,\"args\":{}}\n\
                    ]}";
         assert!(validate(neg).unwrap_err().contains("negative duration"));
+    }
+
+    #[test]
+    fn validate_rejects_a_lane_going_backwards() {
+        // Each event passes on its own and the B/E pair is well formed;
+        // only the instant on lane 0 steps back in time.
+        let backwards = "{\"traceEvents\":[\n\
+                   {\"name\":\"symex\",\"ph\":\"B\",\"pid\":1,\"tid\":0,\"ts\":5,\"args\":{}},\n\
+                   {\"name\":\"loop_retry\",\"ph\":\"i\",\"pid\":1,\"tid\":1,\"ts\":2,\"s\":\"t\",\"args\":{}},\n\
+                   {\"name\":\"loop_retry\",\"ph\":\"i\",\"pid\":1,\"tid\":0,\"ts\":8,\"s\":\"t\",\"args\":{}},\n\
+                   {\"name\":\"loop_retry\",\"ph\":\"i\",\"pid\":1,\"tid\":0,\"ts\":7,\"s\":\"t\",\"args\":{}},\n\
+                   {\"name\":\"symex\",\"ph\":\"E\",\"pid\":1,\"tid\":0,\"ts\":9,\"args\":{}}\n\
+                   ]}";
+        let err = validate(backwards).unwrap_err();
+        assert!(
+            err.contains("event 3: ts 7 on tid 0 goes backwards from 8"),
+            "{err}"
+        );
+        // Lanes are independent: lane 1 at ts 2 after lane 0 at 5 is fine.
+        let interleaved = backwards.replace("\"ts\":7", "\"ts\":8");
+        assert_eq!(validate(&interleaved).unwrap().lanes, 2);
     }
 }

@@ -137,6 +137,7 @@ const LINES: &[(&str, &[&str])] = &[
     ),
     ("octopocs", &["lint"]),
     ("octopocs", &["lint", "--format", "yaml"]),
+    ("octopocs", &["lint", "a.mir", "--format"]),
     ("octopocs", &["lint", "a.mir", "b.mir"]),
     ("octopocs", &["clone"]),
     ("octopocs", &["clone", "--s", "s.mir"]),
@@ -160,6 +161,8 @@ const LINES: &[(&str, &[&str])] = &[
     ),
     ("octopocs", &["cache"]),
     ("octopocs", &["cache", "frob"]),
+    ("octopocs", &["cache", "--help"]),
+    ("octopocs", &["cache", "-h"]),
     ("octopocs", &["cache", "stats"]),
     (
         "octopocs",
@@ -289,6 +292,14 @@ fn transcript() -> String {
         }
     }
     out
+}
+
+#[test]
+fn cache_help_prints_the_usage_alone() {
+    let (_, usage) = run("octopocs", &["--help"]);
+    for help in ["--help", "-h"] {
+        assert_eq!(run("octopocs", &["cache", help]).1, usage, "cache {help}");
+    }
 }
 
 #[test]
